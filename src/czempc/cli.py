@@ -27,6 +27,7 @@ from czempc.condense import MpcProblem, TerminalRecurrence, build_condensed_qp
 from czempc.explorer import (
     VARIANTS,
     InfeasibleProblem,
+    ResourceCap,
     explore,
     export_dot,
     export_json,
@@ -118,7 +119,7 @@ def _load_tree(path: str):
             return import_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load tree {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INFEASIBLE)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _solve_options(options: dict, args) -> dict:
@@ -203,7 +204,7 @@ def cmd_bench(args) -> int:
             except InfeasibleProblem:
                 rows.append(f"{variant},{N},infeasible,,,,,")
                 continue
-            except Exception as exc:  # resource caps reported, not fatal
+            except ResourceCap:  # reported in the table, not fatal
                 rows.append(f"{variant},{N},cap_exceeded,,,,,")
                 continue
             dt = time.perf_counter() - t0

@@ -197,13 +197,16 @@ def explore(
             except RegionRejected:
                 stats.numerical += 1
                 continue
-            child_ared = reduced_active_set(cp, res.law)
-            if use_quick and not quick_check(node.ared, child_ared):
-                stats.quick += 1
-                continue
+            if use_quick:
+                child_ared = reduced_active_set(cp, res.law)
+                if not quick_check(node.ared, child_ared):
+                    stats.quick += 1
+                    continue
             if is_empty(Polytope(res.region.L, res.region.l), radius_threshold):
                 stats.empty += 1
                 continue
+            if not use_quick:  # without the quick check only accepted nodes need it
+                child_ared = reduced_active_set(cp, res.law)
             stats.discovered += 1
             if len(tree.nodes) >= node_cap:
                 raise ResourceCap(f"node cap {node_cap} exceeded")

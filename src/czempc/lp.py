@@ -1,9 +1,11 @@
 """Dense two-phase simplex solver.
 
-Deliberately dependency-free (numpy only) and deterministic: Bland's rule
-picks the lowest-index entering column and breaks leaving ties by the lowest
-basic index, which also prevents cycling. Problem sizes here are small
-(tens of rows), so a dense tableau is adequate.
+Dependency-free (numpy only) and deterministic. The entering column is the
+most negative reduced cost (Dantzig's rule). After a run of degenerate pivots
+the solver switches to Bland's rule (lowest-index entering column) until the
+objective moves again; Bland's rule cannot cycle, so neither can the solver.
+Leaving ties always go to the lowest basic index. Problem sizes here are
+small (tens of rows), so a dense tableau is adequate.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_ITER = 50_000
+_DEGENERATE_RUN = 20  # consecutive degenerate pivots before Bland's rule takes over
 
 
 class SimplexStalled(RuntimeError):
@@ -21,43 +24,69 @@ class SimplexStalled(RuntimeError):
 
 @dataclass
 class LpResult:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    """``status`` is 'optimal', 'infeasible', 'unbounded' or 'cutoff'.
+
+    On 'cutoff', ``fun`` is the objective of the feasible point where the
+    solve stopped, and ``x``/``basis`` are unset.
+    """
+
+    status: str
     x: np.ndarray | None = None
     fun: float | None = None
+    basis: np.ndarray | None = None  # basic columns at the optimum (standard form)
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     T[:, j] = 0.0
     T[r, j] = 1.0
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float) -> str:
-    """Iterate on tableau ``T`` (objective in last row, rhs in last column)."""
+def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, cutoff: float = -np.inf) -> str:
+    """Iterate on tableau ``T`` (objective in last row, rhs in last column).
+
+    Returns 'cutoff' as soon as the objective value ``-T[-1, -1]`` of the
+    current basic feasible point falls below ``cutoff``.
+    """
+    degenerate = 0
     for _ in range(_MAX_ITER):
+        if -T[-1, -1] < cutoff:
+            return "cutoff"
         reduced = T[-1, :-1]
-        entering = np.nonzero(reduced < -tol)[0]
-        if entering.size == 0:
-            return "optimal"
-        j = int(entering[0])  # Bland: lowest index
+        if degenerate < _DEGENERATE_RUN:
+            j = int(reduced.argmin())  # Dantzig: most negative reduced cost
+            if reduced[j] >= -tol:
+                return "optimal"
+        else:
+            entering = (reduced < -tol).nonzero()[0]
+            if entering.size == 0:
+                return "optimal"
+            j = int(entering[0])  # Bland: lowest index
         col = T[:-1, j]
-        rows = np.nonzero(col > tol)[0]
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = T[rows, -1] / col[rows]
-        best = np.min(ratios)
+        best = ratios.min()
         ties = rows[ratios <= best + tol * (1.0 + abs(best))]
-        r = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
+        r = int(ties[basis[ties].argmin()])  # lowest basic index leaves
+        degenerate = degenerate + 1 if best <= tol else 0
         _pivot(T, r, j)
         basis[r] = j
     raise SimplexStalled("simplex iteration cap exceeded")
 
 
-def _standard_form_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> LpResult:
-    """min c@x s.t. A@x = b, x >= 0, via two phases with artificial variables."""
+def solve_standard_form(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = 1e-9, cutoff: float = -np.inf
+) -> LpResult:
+    """min c@x s.t. A@x = b, x >= 0, via two phases with artificial variables.
+
+    Phase 2 stops with status 'cutoff' once a feasible point's objective drops
+    below ``cutoff``; the default never stops early.
+    """
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -80,32 +109,29 @@ def _standard_form_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 
     # drive leftover artificials out of the basis, dropping redundant rows
     keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        row = T[r, :n]
-        cand = np.nonzero(np.abs(row) > tol)[0]
+    for r in (basis >= n).nonzero()[0]:
+        cand = (np.abs(T[r, :n]) > tol).nonzero()[0]
         if cand.size:
             _pivot(T, r, int(cand[0]))
             basis[r] = int(cand[0])
         else:
             keep[r] = False
-    rows_idx = np.concatenate([np.nonzero(keep)[0], [m]])
-    T = T[rows_idx][:, np.concatenate([np.arange(n), [n + m]])]
+    T = T[np.ix_(np.append(keep, True), np.r_[:n, n + m])]
     basis = basis[keep]
     m = basis.size
 
     # phase 2 objective: reduced costs of c over the current basis
     T[-1, :-1] = c
     T[-1, -1] = 0.0
-    for r in range(m):
-        T[-1] -= c[basis[r]] * T[r]
-    status = _run_simplex(T, basis, tol)
+    T[-1] -= c[basis] @ T[:m]
+    status = _run_simplex(T, basis, tol, cutoff)
+    if status == "cutoff":
+        return LpResult("cutoff", fun=-float(T[-1, -1]))
     if status != "optimal":
         return LpResult(status)
     x = np.zeros(n)
     x[basis] = T[:m, -1]
-    return LpResult("optimal", x=x, fun=float(c @ x))
+    return LpResult("optimal", x=x, fun=float(c @ x), basis=basis)
 
 
 def solve_lp(
@@ -180,7 +206,7 @@ def solve_lp(
     b_std = np.concatenate([bu_y, be_y])
     c_std = np.concatenate([c @ B, np.zeros(m_ub)])
 
-    res = _standard_form_solve(A_std, b_std, c_std, tol)
+    res = solve_standard_form(A_std, b_std, c_std, tol)
     if res.status != "optimal":
         return res
     x = x0 + B @ res.x[:ny]

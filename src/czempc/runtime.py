@@ -9,6 +9,7 @@ independent of the region machinery, and is the ground truth for tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ class ActiveSubsetOracle:
         norms = np.linalg.norm(cp.A_poly, axis=1)
         rows = np.nonzero(norms > 1e-12)[0]
         self._const_rows = np.nonzero(norms <= 1e-12)[0]
-        total = sum(_n_choose_k(rows.size, k) for k in range(min(nu, rows.size) + 1))
+        total = sum(math.comb(rows.size, k) for k in range(min(nu, rows.size) + 1))
         if total > size_cap:
             raise CapExceeded(f"{total} subsets exceed cap {size_cap}")
         Qt, Ht = cp.Qtilde, cp.Htilde
@@ -155,12 +156,6 @@ class ActiveSubsetOracle:
             if best is None or cand.cost < best.cost - 1e-12:
                 best = cand
         return best
-
-
-def _n_choose_k(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def oracle_qp(cp: CondensedProblem, x0, size_cap: int = 2_000_000) -> OracleSolution | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from czempc.linalg import null_space_qr
-from czempc.lp import solve_lp
+from czempc.lp import solve_lp, solve_standard_form
 
 DEFAULT_RADIUS_THRESHOLD = 1e-6
 
@@ -115,7 +115,8 @@ class ConstrainedZonotope:
 
 @dataclass(frozen=True)
 class ChebyshevResult:
-    """Largest inscribed ball; ``radius = -inf`` marks an infeasible polytope."""
+    """Largest inscribed ball; a negative radius marks an empty polytope
+    (``-inf`` when a constant row cannot hold)."""
 
     center: np.ndarray | None
     radius: float
@@ -182,11 +183,6 @@ def intersect(Z1, Z2) -> ConstrainedZonotope:
     return generalized_intersect(Z1, np.eye(Z1.dim), Z2)
 
 
-def reduce_order(Z: ConstrainedZonotope) -> ConstrainedZonotope:
-    """Redundancy-removal hook; currently a no-op placeholder."""
-    return Z
-
-
 def support(Z, d) -> float:
     """Support function ``max {d@x : x in Z}`` via LP; ``-inf`` when empty."""
     Z = _as_cz(Z)
@@ -217,36 +213,56 @@ def cz_is_empty(Z) -> bool:
 
 
 def chebyshev(P: Polytope) -> ChebyshevResult:
-    """Largest inscribed ball of ``P`` via ``max r s.t. A_i x + r ||A_i|| <= b_i``.
+    """Largest inscribed ball of ``P``: ``max r s.t. A_i x + r ||A_i|| <= b_i``.
 
     Rows with a zero normal are constant constraints: a negative right-hand
-    side makes the polytope empty, otherwise the row is dropped. A polytope
-    containing arbitrarily large balls reports ``radius = +inf``.
+    side makes the polytope empty (``radius = -inf``), otherwise the row is
+    dropped. A polytope containing arbitrarily large balls reports
+    ``radius = +inf``; an empty one a negative radius.
+    """
+    return _chebyshev(P, -np.inf)
+
+
+def is_empty(P: Polytope, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> bool:
+    """Threshold-based emptiness: true iff the Chebyshev radius stays below the cut."""
+    return bool(_chebyshev(P, radius_threshold).radius < radius_threshold)
+
+
+def _chebyshev(P: Polytope, cutoff: float) -> ChebyshevResult:
+    """Solve the Chebyshev LP through its dual, which has only ``n + 1`` rows:
+
+        min b'y  s.t.  A'y = 0,  ||A||'y = 1,  y >= 0.
+
+    The primal is always feasible (take ``r`` small enough), so the dual is
+    never unbounded, and an infeasible dual means ``radius = +inf``. Every
+    feasible ``y`` bounds the radius from above (weak duality), so the solve
+    stops once ``b'y < cutoff`` and reports that bound as the radius, with no
+    centre. At the optimum the centre and radius solve ``A_B x + r ||A_B|| = b_B``
+    over the basic rows ``B``.
     """
     norms = np.linalg.norm(P.A, axis=1)
     zero = norms <= 1e-14
     if np.any(P.b[zero] < -1e-12):
         return ChebyshevResult(None, -np.inf)
-    A = P.A[~zero]
-    b = P.b[~zero]
-    if A.shape[0] == 0:
+    if np.all(zero):
         return ChebyshevResult(np.zeros(P.dim), np.inf)
-    n = A.shape[1]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximize r
-    A_ub = np.hstack([A, norms[~zero][:, None]])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b)
-    if res.status == "unbounded":
+    Abar = np.hstack([P.A[~zero], norms[~zero][:, None]])
+    b = P.b[~zero]
+    rhs = np.zeros(Abar.shape[1])
+    rhs[-1] = 1.0
+    res = solve_standard_form(Abar.T, rhs, b, cutoff=cutoff)
+    if res.status == "cutoff":
+        return ChebyshevResult(None, res.fun)
+    if res.status == "infeasible":
         return ChebyshevResult(None, np.inf)
     if res.status != "optimal":
-        return ChebyshevResult(None, -np.inf)
-    return ChebyshevResult(res.x[:n], float(res.x[-1]))
-
-
-def is_empty(P: Polytope, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> bool:
-    """Threshold-based emptiness: true iff the Chebyshev radius stays below the cut."""
-    r = chebyshev(P).radius
-    return bool(r < radius_threshold)
+        raise ArithmeticError(f"Chebyshev dual LP reported {res.status}; the primal is always feasible")
+    A_B, b_B = Abar[res.basis], b[res.basis]
+    if A_B.shape[0] == A_B.shape[1]:
+        z = np.linalg.solve(A_B, b_B)
+    else:  # redundant dual rows were dropped: every solution has the same margins
+        z = np.linalg.lstsq(A_B, b_B, rcond=None)[0]
+    return ChebyshevResult(z[:-1], float(z[-1]))
 
 
 def zonotope_halfspaces(Z: Zonotope) -> Polytope:

@@ -1,12 +1,14 @@
+import functools
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from czempc import cli
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main, parse_problem
 from czempc.condense import MpcProblem, TerminalRecurrence
-from czempc.explorer import import_json
+from czempc.explorer import explore, import_json
 from czempc.runtime import evaluate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -118,6 +120,36 @@ def test_bench_variant_counts_agree(tmp_path):
 
 def test_bench_unknown_variant(tmp_path):
     assert main(["bench", str(DINT_PROBLEM), "--variants", "turbo"]) == EXIT_PARSE
+
+
+def test_bench_node_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "explore", functools.partial(explore, node_cap=2))
+    csv_path = tmp_path / "bench.csv"
+    code = main(["bench", str(DINT_PROBLEM), "--nmin", "2", "--nmax", "2",
+                 "--variants", "iter", "--out", str(csv_path)])
+    assert code == EXIT_OK
+    assert csv_path.read_text().strip().splitlines()[1] == "iter,2,cap_exceeded,,,,,"
+
+
+def test_bench_propagates_other_errors(tmp_path, monkeypatch):
+    def broken(cp, **opts):
+        raise ZeroDivisionError("solver fault")
+
+    monkeypatch.setattr(cli, "explore", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["bench", str(DINT_PROBLEM), "--nmin", "1", "--nmax", "1", "--variants", "iter"])
+
+
+def test_eval_malformed_tree(tmp_path, capsys):
+    bad = tmp_path / "tree.json"
+    bad.write_text('{"format": "czempc-tree", "nodes": [')
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(bad), "0,0"])
+    assert exc.value.code == EXIT_PARSE
+    assert "cannot load tree" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(tmp_path / "missing.json"), "0,0"])
+    assert exc.value.code == EXIT_PARSE
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from czempc.condense import MpcProblem, build_condensed_qp
+from czempc.cli import parse_problem
 from czempc.explorer import (
     InfeasibleProblem,
     ResourceCap,
@@ -15,7 +16,7 @@ from czempc.explorer import (
     quick_check,
     swap_indices,
 )
-from czempc.regions import ActiveSet
+from czempc.regions import ActiveSet, reduced_active_set
 from czempc.sets import ConstrainedZonotope, Zonotope
 
 
@@ -74,6 +75,26 @@ def test_variants_agree_double_integrator(dint_cp, dint_tree):
         other = explore(dint_cp, variant=variant)
         assert other.num_regions == dint_tree.num_regions
         assert set(other.index) == set(dint_tree.index)
+
+
+def test_variants_agree_cz_terminal(paper_doc):
+    # N=1 with the LQR-invariant CZ terminal set: 72-row emptiness LPs on which
+    # the primal simplex once called the region of (29, 52) infeasible under
+    # `iter` (its region differs from `baseline`'s by about 1e-10)
+    doc = dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    problem, _ = parse_problem(doc)
+    cp = build_condensed_qp(problem)
+    trees = {v: explore(cp, variant=v) for v in ("baseline", "iter")}
+    assert {v: t.num_regions for v, t in trees.items()} == {"baseline": 77, "iter": 77}
+    assert set(trees["iter"].index) == set(trees["baseline"].index)
+    assert ActiveSet(cp.Dbar, (29, 52)).bits in trees["iter"].index
+
+
+def test_stored_ared_matches_law(dint_cp, dint_tree):
+    # without the quick check the reduced active set is computed after acceptance
+    for tree in (dint_tree, explore(dint_cp, variant="iter-quick")):
+        for nd in tree.nodes:
+            assert nd.ared == reduced_active_set(dint_cp, nd.law)
 
 
 def test_unknown_variant(dint_cp):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from czempc.lp import LpResult, solve_lp
+from czempc import lp
+from czempc.lp import LpResult, SimplexStalled, solve_lp, solve_standard_form
 
 
 def test_simple_bounded():
@@ -93,3 +94,41 @@ def test_result_type():
     res = solve_lp(np.zeros(1), lb=0.0, ub=1.0)
     assert isinstance(res, LpResult)
     assert res.status == "optimal"
+
+
+def _beale_tableau():
+    # Beale's example with its slack basis: Dantzig's rule with lowest-index
+    # leaving ties cycles
+    c = np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                  [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    T = np.zeros((4, 8))
+    T[:3, :7] = A
+    T[:3, -1] = b
+    T[-1, :7] = c
+    return T, np.array([4, 5, 6]), A, b, c
+
+
+def test_bland_fallback_breaks_cycle(monkeypatch):
+    T, basis, A, b, c = _beale_tableau()
+    assert lp._run_simplex(T, basis, 1e-9) == "optimal"
+    ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * 7, method="highs")
+    assert -T[-1, -1] == pytest.approx(ref.fun, abs=1e-9)
+    # without the fallback the same tableau cycles until the iteration cap
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(lp, "_MAX_ITER", 200)
+    T, basis, *_ = _beale_tableau()
+    with pytest.raises(SimplexStalled):
+        lp._run_simplex(T, basis, 1e-9)
+
+
+def test_cutoff_stops_at_a_feasible_point():
+    # min x0 + 2 x1 + 3 x2 s.t. x0 + x1 + x2 = 1, x >= 0; optimum 1
+    A, b, c = np.ones((1, 3)), np.ones(1), np.array([1.0, 2.0, 3.0])
+    assert solve_standard_form(A, b, c).fun == pytest.approx(1.0)
+    res = solve_standard_form(A, b, c, cutoff=2.5)
+    assert res.status == "cutoff"
+    assert 1.0 <= res.fun < 2.5  # an upper bound on the optimum, below the cutoff
+    assert solve_standard_form(A, b, c, cutoff=0.5).status == "optimal"

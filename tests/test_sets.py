@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from czempc.sets import (
+    DEFAULT_RADIUS_THRESHOLD,
     ChebyshevResult,
     ConstrainedZonotope,
     DimensionMismatch,
@@ -15,7 +17,6 @@ from czempc.sets import (
     generalized_intersect,
     is_empty,
     minkowski_sum,
-    reduce_order,
     support,
     zonotope_halfspaces,
 )
@@ -87,11 +88,6 @@ def test_support_of_empty_set():
     assert cz_is_empty(empty)
 
 
-def test_reduce_order_noop():
-    cz = HEX.to_cz()
-    assert reduce_order(cz) is cz
-
-
 def test_chebyshev_unit_box():
     P = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     res = chebyshev(P)
@@ -113,6 +109,14 @@ def test_chebyshev_unbounded():
     assert res.unbounded
 
 
+def test_chebyshev_slab():
+    # unbounded along x1 but the radius is finite: a dual row drops out as redundant
+    P = Polytope(np.array([[2.0, 0.0], [-1.0, 0.0]]), np.array([2.0, 1.0]))
+    res = chebyshev(P)
+    assert res.radius == pytest.approx(1.0, abs=1e-12)
+    assert res.center[0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_chebyshev_zero_rows():
     # constant rows: feasible one is dropped, infeasible one empties the set
     P = Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
@@ -128,6 +132,68 @@ def test_is_empty_threshold():
                  np.array([1e-4, 1e-4, 1.0, 1.0]))
     assert is_empty(P, radius_threshold=1e-3)
     assert not is_empty(P, radius_threshold=1e-6)
+
+
+def _random_polytope(rng, kind):
+    """Seeded random H-polytope of a given kind, with zero-normal rows mixed in."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2 * n, 6 * n))
+    A = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+    center = rng.uniform(-2.0, 2.0, size=n)
+    if kind == "bounded":
+        b = A @ center + rng.uniform(0.0, 1.0, size=m) * np.linalg.norm(A, axis=1)
+    elif kind == "empty":  # pushed past the centre: mostly infeasible
+        b = A @ center + rng.uniform(-1.0, 0.2, size=m) * np.linalg.norm(A, axis=1)
+    else:  # every normal has a positive first entry, so balls grow along -e1
+        A[:, 0] = np.abs(A[:, 0]) + 0.1
+        b = A @ center + rng.uniform(-0.5, 1.0, size=m)
+    zero_rhs = {"none": [], "positive": [0.5, 0.0], "negative": [1.0, -0.3]}[rng.choice(["none", "positive", "negative"])]
+    for rhs in zero_rhs:
+        k = int(rng.integers(0, A.shape[0] + 1))
+        A = np.insert(A, k, 0.0, axis=0)
+        b = np.insert(b, k, rhs)
+    return Polytope(A, b), any(r < 0 for r in zero_rhs)
+
+
+def _highs_radius(P):
+    norms = np.linalg.norm(P.A, axis=1)
+    keep = norms > 1e-14
+    n = P.dim
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    ref = scipy.optimize.linprog(c, A_ub=np.hstack([P.A[keep], norms[keep][:, None]]), b_ub=P.b[keep],
+                                 bounds=[(None, None)] * (n + 1), method="highs")
+    assert ref.status in (0, 3)
+    return np.inf if ref.status == 3 else -ref.fun
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chebyshev_against_highs(seed):
+    rng = np.random.default_rng(seed)
+    seen = {"positive": 0, "negative": 0, "unbounded": 0}
+    for kind in ["bounded", "empty", "unbounded"] * 20:
+        P, bad_zero_row = _random_polytope(rng, kind)
+        res = chebyshev(P)
+        # -inf is reserved for a constant row with a negative right-hand side
+        assert (res.radius == -np.inf) == bad_zero_row
+        if bad_zero_row:
+            continue
+        ref = _highs_radius(P)
+        if np.isinf(ref):
+            assert res.unbounded
+            seen["unbounded"] += 1
+            continue
+        assert res.radius == pytest.approx(ref, abs=1e-8 * (1.0 + abs(ref)))
+        seen["positive" if ref > 0 else "negative"] += 1
+        # the recovered centre has margin equal to the radius
+        norms = np.linalg.norm(P.A, axis=1)
+        keep = norms > 1e-14
+        margin = np.min((P.b[keep] - P.A[keep] @ res.center) / norms[keep])
+        assert margin == pytest.approx(res.radius, abs=1e-9 * (1.0 + abs(ref)))
+        # the early-stopping emptiness test agrees with the full solve
+        for t in (ref - 0.1, ref + 0.1, 0.0, DEFAULT_RADIUS_THRESHOLD):
+            assert is_empty(P, t) == (res.radius < t)
+    assert min(seen.values()) > 0
 
 
 def test_zonotope_halfspaces_box():
