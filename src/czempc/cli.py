@@ -11,7 +11,8 @@ Problem files are JSON with row-major nested arrays::
       "options": {"radiusThreshold": 1e-6, "eps": 1e-10, "variant": "iter-quick"}
     }
 
-Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error.
+Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
+when condensing fails, e.g. a terminal recurrence that does not converge).
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ import time
 
 import numpy as np
 
-from czempc.condense import MpcProblem, TerminalRecurrence, build_condensed_qp
+from czempc.condense import (
+    MpcProblem,
+    NotConverged,
+    NotInvertible,
+    NotPositiveDefinite,
+    NotStable,
+    TerminalRecurrence,
+    build_condensed_qp,
+)
 from czempc.explorer import (
     VARIANTS,
     InfeasibleProblem,
@@ -113,6 +122,14 @@ def _load_problem(path: str, n_override: int | None):
         raise SystemExit(EXIT_PARSE)
 
 
+def _condense(problem: MpcProblem):
+    try:
+        return build_condensed_qp(problem)
+    except (NotStable, NotInvertible, NotPositiveDefinite, DimensionMismatch, NotConverged) as exc:
+        print(f"error: invalid problem: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
 def _load_tree(path: str):
     try:
         with open(path) as fh:
@@ -137,7 +154,7 @@ def _solve_options(options: dict, args) -> dict:
 def cmd_solve(args) -> int:
     problem, options = _load_problem(args.problem, args.N)
     opts = _solve_options(options, args)
-    cp = build_condensed_qp(problem)
+    cp = _condense(problem)
     try:
         tree = explore(cp, **opts)
     except InfeasibleProblem as exc:
@@ -194,7 +211,7 @@ def cmd_bench(args) -> int:
     rows = ["variant,N,regions,seconds,numerical,quick,empty,discovered"]
     for N in range(args.nmin, args.nmax + 1):
         problem, options = _load_problem(problem_doc_path, N)
-        cp = build_condensed_qp(problem)
+        cp = _condense(problem)
         for variant in variants:
             ns = argparse.Namespace(variant=variant, radius_threshold=args.radius_threshold, eps=args.eps)
             opts = _solve_options(options, ns)

@@ -38,6 +38,10 @@ class NotInvertible(ValueError):
     """The closed-loop matrix of the terminal recurrence is singular."""
 
 
+class NotConverged(ValueError):
+    """The Riccati iteration or the terminal-set recurrence hit its iteration cap."""
+
+
 @dataclass(frozen=True)
 class TerminalRecurrence:
     """Directive to build the terminal set from the invariant-set recurrence."""
@@ -180,7 +184,11 @@ def build_prediction_matrices(A_d, B_d, N: int) -> PredictionMatrices:
 
 
 def lqr_gain(A_d, B_d, Q, R, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
-    """Infinite-horizon LQR gain ``K`` (u = K x) from the Riccati fixed point."""
+    """Infinite-horizon LQR gain ``K`` (u = K x) from the Riccati fixed point.
+
+    Raises :class:`NotConverged` when the iteration has not settled within
+    ``tol`` after ``max_iter`` steps.
+    """
     A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -194,6 +202,8 @@ def lqr_gain(A_d, B_d, Q, R, tol: float = 1e-10, max_iter: int = 10_000) -> np.n
             P = P_next
             break
         P = P_next
+    else:
+        raise NotConverged(f"Riccati iteration did not converge in {max_iter} steps")
     BtP = B_d.T @ P
     return -np.linalg.solve(R + BtP @ B_d, BtP @ A_d)
 
@@ -203,7 +213,8 @@ def build_terminal_set(A_d, B_d, K, X: Zonotope, U: Zonotope, max_iter: int = 50
 
     ``Omega_0 = {x in X : K x in U}`` couples the state box with the input box
     through the gain. Iteration stops once the support values along the 2n
-    axis directions settle within ``tol`` or at ``max_iter``.
+    axis directions settle within ``tol``; raises :class:`NotConverged` when
+    they have not settled after ``max_iter`` steps.
     """
     A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
@@ -224,9 +235,9 @@ def build_terminal_set(A_d, B_d, K, X: Zonotope, U: Zonotope, max_iter: int = 50
         sup_next = np.array([support(candidate, d) for d in dirs])
         omega = candidate
         if np.max(np.abs(sup_next - sup)) < tol:
-            break
+            return omega
         sup = sup_next
-    return omega
+    raise NotConverged(f"terminal-set recurrence did not converge in {max_iter} steps")
 
 
 def resolve_terminal_set(p: MpcProblem) -> ConstrainedZonotope:

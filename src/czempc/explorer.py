@@ -289,11 +289,3 @@ def import_json(text: str) -> SolutionTree:
         tree.nodes.append(node)
         tree.index[active.bits] = nd["id"]
     return tree
-
-
-def export_tree(tree: SolutionTree, fmt: str) -> str:
-    if fmt.upper() == "DOT":
-        return export_dot(tree)
-    if fmt.upper() == "JSON":
-        return export_json(tree)
-    raise ValueError(f"unknown export format {fmt!r}")

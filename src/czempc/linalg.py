@@ -2,15 +2,12 @@
 
 Provides orthonormal and sparse null-space bases, the rank-2 Woodbury
 inverse update that tracks a single active-set insertion, the Greville-style
-pseudoinverse update for a matrix gaining one column, and row-move
-permutations shared by both updates.
+pseudoinverse update for a matrix gaining one column.
 
 All functions are pure; inputs are never modified in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,40 +19,6 @@ class PivotZeroError(ValueError):
 
 class SingularUpdateError(np.linalg.LinAlgError):
     """Raised when the 2x2 capacitance factor of the inverse update is singular."""
-
-
-@dataclass(frozen=True)
-class RowMove:
-    """Permutation that extracts row ``src`` and reinserts it at ``dst``.
-
-    All other rows keep their relative order. Indices are 0-based.
-    """
-
-    src: int
-    dst: int
-    size: int
-
-    def __post_init__(self):
-        if not (0 <= self.src < self.size and 0 <= self.dst < self.size):
-            raise IndexError(f"row move ({self.src}->{self.dst}) out of range for size {self.size}")
-
-    def inverse(self) -> "RowMove":
-        return RowMove(self.dst, self.src, self.size)
-
-    def permutation(self) -> np.ndarray:
-        """Index array ``p`` such that the moved matrix is ``M[p, :]``."""
-        order = list(range(self.size))
-        order.pop(self.src)
-        order.insert(self.dst, self.src)
-        return np.asarray(order, dtype=int)
-
-
-def move_row(M: np.ndarray, move: RowMove) -> np.ndarray:
-    """Relocate one row of ``M`` per ``move``; other rows keep relative order."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != move.size:
-        raise IndexError(f"matrix has {M.shape[0]} rows, move expects {move.size}")
-    return M[move.permutation(), :]
 
 
 def null_space_qr(M: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
@@ -102,12 +65,14 @@ def woodbury_rank2_inverse_update(
     Kinv: np.ndarray,
     U: np.ndarray,
     W: np.ndarray,
-    move: RowMove,
+    src: int,
+    dst: int,
     eps: float = 1e-10,
 ) -> np.ndarray:
     """Inverse of ``P @ (K + U @ W)`` given ``Kinv = inv(K)``.
 
-    ``U`` is n x 2 and ``W`` is 2 x n, so only the 2x2 capacitance matrix
+    ``P`` moves row ``src`` to position ``dst``; the other rows keep their
+    order. ``U`` is n x 2 and ``W`` is 2 x n, so only the 2x2 capacitance matrix
     ``I + W @ Kinv @ U`` must be inverted. Raises :class:`SingularUpdateError`
     when its smallest eigenvalue magnitude falls below ``eps`` scaled by the
     Frobenius norm of the factor.
@@ -121,8 +86,10 @@ def woodbury_rank2_inverse_update(
     if np.min(np.abs(np.linalg.eigvals(F2))) <= eps * scale:
         raise SingularUpdateError("2x2 update factor is singular")
     M = Kinv - KU @ np.linalg.solve(F2, W @ Kinv)
-    # right-multiplying by P^T permutes columns the same way P permutes rows
-    return M[:, move.permutation()]
+    # right-multiplying by P^T moves column src to dst
+    order = list(range(M.shape[1]))
+    order.insert(dst, order.pop(src))
+    return M[:, np.asarray(order)]
 
 
 def greville_append_row_pinv(
@@ -135,8 +102,8 @@ def greville_append_row_pinv(
     """Pseudoinverse of ``T`` augmented with the column ``new_row.T`` at position ``k``.
 
     Given ``Tpinv = pinv(T)`` the update costs only matrix-vector products.
-    The new column is appended last and then moved into place ``k`` (0-based)
-    by the column permutation, which on the pseudoinverse side is a row move.
+    A column inserted at ``k`` (0-based) of ``T`` is a row inserted at ``k``
+    of the pseudoinverse.
     """
     Tpinv = np.asarray(Tpinv, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -148,9 +115,8 @@ def greville_append_row_pinv(
         b = c / cc
     else:
         b = (Tpinv.T @ d) / (1.0 + float(d @ d))
-    stacked = np.vstack([Tpinv - np.outer(d, b), b])
-    p = Tpinv.shape[0]
-    return move_row(stacked, RowMove(src=p, dst=k, size=p + 1))
+    M = Tpinv - np.outer(d, b)
+    return np.vstack([M[:k], b, M[k:]])
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ the solver switches to Bland's rule (lowest-index entering column) until the
 objective moves again; Bland's rule cannot cycle, so neither can the solver.
 Leaving ties always go to the lowest basic index. Problem sizes here are
 small (tens of rows), so a dense tableau is adequate.
+
+``solve_standard_form`` takes ``A x = b, x >= 0``. ``solve_lp`` is a thin
+front end for the finite-box equality form ``A_eq x = b_eq, lb <= x <= ub``
+that every constrained-zonotope LP takes (``||xi||_inf <= 1``).
 """
 
 from __future__ import annotations
@@ -134,80 +138,27 @@ def solve_standard_form(
     return LpResult("optimal", x=x, fun=float(c @ x), basis=basis)
 
 
-def solve_lp(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    lb=None,
-    ub=None,
-    tol: float = 1e-9,
-) -> LpResult:
-    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``lb <= x <= ub``.
+def solve_lp(c, A_eq=None, b_eq=None, *, lb, ub, tol: float = 1e-9) -> LpResult:
+    """Minimize ``c @ x`` subject to ``A_eq x = b_eq`` and ``lb <= x <= ub``.
 
-    Bounds may be scalars, arrays, or None (unbounded). Free variables are
-    split, bounded ones shifted, before the two-phase simplex runs on the
-    equality standard form.
+    Bounds are scalars or arrays and must be finite. The simplex runs on
+    ``y = x - lb >= 0`` with one slack per variable: the rows
+    ``y + s = ub - lb`` come first, then ``A_eq y = b_eq - A_eq lb``.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
-    lb = np.full(n, -np.inf) if lb is None else np.broadcast_to(np.asarray(lb, dtype=float), (n,)).copy()
-    ub = np.full(n, np.inf) if ub is None else np.broadcast_to(np.asarray(ub, dtype=float), (n,)).copy()
-    if np.any(lb > ub):
-        return LpResult("infeasible")
-
-    A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+    # copies, not stride-0 views, which would round A_eq @ lb differently
+    lb = np.broadcast_to(np.asarray(lb, dtype=float), (n,)).copy()
+    ub = np.broadcast_to(np.asarray(ub, dtype=float), (n,)).copy()
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        raise ValueError("solve_lp needs finite bounds")
     A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
 
-    # substitution x = x0 + B y with y >= 0
-    x0 = np.zeros(n)
-    cols = []  # (original var, sign)
-    extra_rows = []  # upper-bound rows in y space: (y_col, rhs)
-    for i in range(n):
-        if np.isfinite(lb[i]):
-            x0[i] = lb[i]
-            cols.append((i, 1.0))
-            if np.isfinite(ub[i]):
-                extra_rows.append((len(cols) - 1, ub[i] - lb[i]))
-        elif np.isfinite(ub[i]):
-            x0[i] = ub[i]
-            cols.append((i, -1.0))
-        else:
-            cols.append((i, 1.0))
-            cols.append((i, -1.0))
-    ny = len(cols)
-    B = np.zeros((n, ny))
-    for jcol, (i, s) in enumerate(cols):
-        B[i, jcol] = s
-
-    Au_y = A_ub @ B
-    bu_y = b_ub - A_ub @ x0
-    if extra_rows:
-        rows = np.zeros((len(extra_rows), ny))
-        rhs = np.zeros(len(extra_rows))
-        for r, (jcol, val) in enumerate(extra_rows):
-            rows[r, jcol] = 1.0
-            rhs[r] = val
-        Au_y = np.vstack([Au_y, rows])
-        bu_y = np.concatenate([bu_y, rhs])
-    Ae_y = A_eq @ B
-    be_y = b_eq - A_eq @ x0
-
-    m_ub = Au_y.shape[0]
-    A_std = np.block(
-        [
-            [Au_y, np.eye(m_ub)],
-            [Ae_y, np.zeros((Ae_y.shape[0], m_ub))],
-        ]
-    )
-    b_std = np.concatenate([bu_y, be_y])
-    c_std = np.concatenate([c @ B, np.zeros(m_ub)])
-
-    res = solve_standard_form(A_std, b_std, c_std, tol)
+    A_std = np.block([[np.eye(n), np.eye(n)], [A_eq, np.zeros((A_eq.shape[0], n))]])
+    b_std = np.concatenate([ub - lb, b_eq - A_eq @ lb])
+    res = solve_standard_form(A_std, b_std, np.concatenate([c, np.zeros(n)]), tol)
     if res.status != "optimal":
         return res
-    x = x0 + B @ res.x[:ny]
+    x = lb + res.x[:n]
     return LpResult("optimal", x=x, fun=float(c @ x))

@@ -16,7 +16,6 @@ import numpy as np
 from czempc.condense import CondensedProblem
 from czempc.linalg import (
     PivotZeroError,
-    RowMove,
     SingularUpdateError,
     greville_append_row_pinv,
     null_space_qr,
@@ -266,9 +265,8 @@ def region_iterative(
     U[:kp, 1] = col
     W = np.vstack([y_i, Zp[:, j] @ cp.GQG])
     target = (kp - 1) + cp.nbar_c + pos
-    move = RowMove(src=j, dst=target, size=cp.Dbar)
     try:
-        Kinv_child = woodbury_rank2_inverse_update(parent.cache.Kinv, U, W, move, eps)
+        Kinv_child = woodbury_rank2_inverse_update(parent.cache.Kinv, U, W, j, target, eps)
     except SingularUpdateError:
         raise RegionRejected("singular") from None
     return _finish(cp, child, Zc, Kinv_child, T_child, Tpinv_child)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from czempc.condense import CondensedProblem
-from czempc.lp import solve_lp
+from czempc.condense import CondensedProblem, feasible_polytope
+from czempc.sets import is_empty
 
 LOCATE_TOL = 1e-9
 
@@ -81,12 +81,23 @@ def simulate(tree, A_d, B_d, Q, R, x0, steps: int) -> Trajectory:
     return Trajectory(np.array(states), np.array(inputs), np.array(costs))
 
 
+def _require_terminal_rows(cp: CondensedProblem) -> None:
+    if not cp.poly_has_terminal:
+        raise ValueError(
+            "the polyhedral rows omit the terminal constraint (a terminal set with "
+            "equality constraints has no facet form here)"
+        )
+
+
 def polyhedral_feasible(cp: CondensedProblem, x0, tol: float = 1e-9) -> bool:
-    """Phase-1 LP certificate that ``A u <= b + E x0`` has a solution."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    rhs = cp.b_poly + cp.E_poly @ x0
-    res = solve_lp(np.zeros(cp.A_poly.shape[1]), A_ub=cp.A_poly, b_ub=rhs, tol=tol)
-    return res.status == "optimal"
+    """Whether ``A u <= b + E x0`` has a solution: its Chebyshev radius is at least ``-tol``.
+
+    Raises ``ValueError`` when the polyhedral rows lack the terminal
+    constraint (``cp.poly_has_terminal`` is false), since the answer would
+    then be for a larger feasible set.
+    """
+    _require_terminal_rows(cp)
+    return not is_empty(feasible_polytope(cp, x0), -tol)
 
 
 class ActiveSubsetOracle:
@@ -95,10 +106,12 @@ class ActiveSubsetOracle:
     For each subset S of rows (|S| <= N m) the equality-KKT system is solved
     once for its affine dependence on x0, so repeated queries cost only
     batched matrix-vector products. Rows that do not involve u are checked as
-    feasibility cuts on x0 alone.
+    feasibility cuts on x0 alone. Raises ``ValueError`` when the polyhedral
+    rows lack the terminal constraint (``cp.poly_has_terminal`` is false).
     """
 
     def __init__(self, cp: CondensedProblem, size_cap: int = 2_000_000, tol: float = 1e-7):
+        _require_terminal_rows(cp)
         self.cp = cp
         self.tol = tol
         nu = cp.N * cp.m
@@ -159,7 +172,10 @@ class ActiveSubsetOracle:
 
 
 def oracle_qp(cp: CondensedProblem, x0, size_cap: int = 2_000_000) -> OracleSolution | None:
-    """Ground-truth QP solve by active-subset enumeration (cached per problem)."""
+    """Ground-truth QP solve by active-subset enumeration (cached per problem).
+
+    Raises ``ValueError`` on a problem without polyhedral terminal rows.
+    """
     oracle = getattr(cp, "_oracle", None)
     if oracle is None:
         oracle = ActiveSubsetOracle(cp, size_cap)

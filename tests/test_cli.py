@@ -178,6 +178,28 @@ def test_unknown_variant_option(tmp_path):
     assert exc.value.code == 2  # argparse rejects the choice
 
 
+@pytest.mark.parametrize(
+    "problem, recurrence, message",
+    [
+        (PAPER_PROBLEM, {"K": "lqr", "maxIter": 1}, "did not converge"),  # needs 4 steps
+        (DINT_PROBLEM, {"K": [[1.0, 1.0]]}, "not Schur stable"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_terminal_set_failure_exits_parse(tmp_path, capsys, problem, recurrence, message, command):
+    doc = json.loads(problem.read_text())
+    doc["T"] = {"recurrence": recurrence}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = {"solve": ["solve", str(path), str(tmp_path / "out.json"), "-N", "1"],
+            "bench": ["bench", str(path), "--nmin", "1", "--nmax", "1", "--variants", "iter"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err.strip()
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(tmp_path / "nope.json"), str(tmp_path / "out.json")])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from czempc.cli import parse_problem
 from czempc.condense import (
     MpcProblem,
+    NotConverged,
     NotInvertible,
     NotPositiveDefinite,
     NotStable,
@@ -176,6 +178,16 @@ def test_terminal_recurrence_errors():
         resolve_terminal_set(
             MpcProblem(p.A_d, p.B_d, p.Q, p.R, p.S, p.N, p.X, p.U, TerminalRecurrence("dlqr"))
         )
+
+
+def test_iteration_caps_raise(paper_doc):
+    p = _dint_problem()
+    with pytest.raises(NotConverged):
+        lqr_gain(p.A_d, p.B_d, p.Q, p.R, max_iter=10)  # needs 14 steps
+    paper, _ = parse_problem(paper_doc, n_override=1)
+    K = lqr_gain(paper.A_d, paper.B_d, paper.Q, paper.R)
+    with pytest.raises(NotConverged):
+        build_terminal_set(paper.A_d, paper.B_d, K, paper.X, paper.U, max_iter=3)  # needs 4
 
 
 def test_problem_validation():

@@ -11,12 +11,12 @@ from czempc.explorer import (
     explore,
     export_dot,
     export_json,
-    export_tree,
     import_json,
     quick_check,
     swap_indices,
 )
 from czempc.regions import ActiveSet, reduced_active_set
+from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 from czempc.sets import ConstrainedZonotope, Zonotope
 
 
@@ -124,7 +124,7 @@ def test_infeasible_root():
         explore(build_condensed_qp(p))
 
 
-def test_quick_requires_polyhedral_terminal():
+def _cz_terminal_problem():
     box5 = Zonotope(np.zeros(2), 5.0 * np.eye(2))
     # constrained-zonotope terminal set: no terminal H-rep rows available
     T = ConstrainedZonotope(
@@ -135,13 +135,29 @@ def test_quick_requires_polyhedral_terminal():
         np.eye(2), np.array([[0.1]]), np.eye(2), 2,
         box5, Zonotope(np.zeros(1), np.eye(1)), T,
     )
-    cp = build_condensed_qp(p)
+    return build_condensed_qp(p)
+
+
+def test_quick_requires_polyhedral_terminal():
+    cp = _cz_terminal_problem()
     assert not cp.poly_has_terminal
     with pytest.raises(ValueError):
         explore(cp, variant="iter-quick")
     # the CZ machinery itself still handles the equality-constrained terminal
     tree = explore(cp, variant="iter")
     assert tree.num_regions > 0
+
+
+def test_oracle_requires_polyhedral_terminal():
+    # the polyhedral rows lack the terminal constraint, so the oracle refuses
+    # rather than answer for a larger feasible set
+    cp = _cz_terminal_problem()
+    with pytest.raises(ValueError):
+        ActiveSubsetOracle(cp)
+    with pytest.raises(ValueError):
+        oracle_qp(cp, np.zeros(2))
+    with pytest.raises(ValueError):
+        polyhedral_feasible(cp, np.zeros(2))
 
 
 @pytest.mark.xfail(
@@ -159,13 +175,6 @@ def test_export_dot(dint_tree):
     assert dot.startswith("digraph")
     assert dot.count("label=") == dint_tree.num_regions + len(dint_tree.edges())
     assert '"0: {}"' in dot  # root shows the empty active set
-
-
-def test_export_tree_dispatch(dint_tree):
-    assert export_tree(dint_tree, "DOT") == export_dot(dint_tree)
-    assert export_tree(dint_tree, "json") == export_json(dint_tree)
-    with pytest.raises(ValueError):
-        export_tree(dint_tree, "yaml")
 
 
 def test_json_roundtrip_exact(dint_tree):

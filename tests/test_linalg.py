@@ -3,40 +3,13 @@ import pytest
 
 from czempc.linalg import (
     PivotZeroError,
-    RowMove,
     SingularUpdateError,
     greville_append_row_pinv,
-    move_row,
     null_space_qr,
     principal_angles,
     sparse_null_basis,
     woodbury_rank2_inverse_update,
 )
-
-
-def test_row_move_permutation():
-    move = RowMove(src=1, dst=3, size=5)
-    assert move.permutation().tolist() == [0, 2, 3, 1, 4]
-    M = np.arange(10).reshape(5, 2)
-    moved = move_row(M, move)
-    assert moved[3].tolist() == [2, 3]
-    # other rows keep relative order
-    rest = np.delete(moved, 3, axis=0)
-    assert rest.tolist() == np.delete(M, 1, axis=0).tolist()
-
-
-def test_row_move_inverse_roundtrip():
-    move = RowMove(src=4, dst=0, size=6)
-    M = np.random.default_rng(0).normal(size=(6, 3))
-    back = move_row(move_row(M, move), move.inverse())
-    np.testing.assert_array_equal(back, M)
-
-
-def test_row_move_validation():
-    with pytest.raises(IndexError):
-        RowMove(src=5, dst=0, size=5)
-    with pytest.raises(IndexError):
-        move_row(np.zeros((3, 3)), RowMove(0, 1, 4))
 
 
 def test_null_space_qr_basic(rng):
@@ -83,9 +56,8 @@ def test_woodbury_rank2_update_matches_direct(rng):
     K = rng.normal(size=(n, n)) + 3 * np.eye(n)
     U = rng.normal(size=(n, 2))
     W = rng.normal(size=(2, n))
-    move = RowMove(src=2, dst=6, size=n)
-    got = woodbury_rank2_inverse_update(np.linalg.inv(K), U, W, move)
-    P = np.eye(n)[move.permutation()]
+    got = woodbury_rank2_inverse_update(np.linalg.inv(K), U, W, 2, 6)
+    P = np.eye(n)[[0, 1, 3, 4, 5, 6, 2, 7, 8]]  # row 2 moves to position 6
     want = np.linalg.inv(P @ (K + U @ W))
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -98,7 +70,7 @@ def test_woodbury_rank2_update_singular():
     W = np.zeros((2, n))
     W[0, 0] = -1.0  # K + U W drops a pivot
     with pytest.raises(SingularUpdateError):
-        woodbury_rank2_inverse_update(np.linalg.inv(K), U, W, RowMove(0, 0, n))
+        woodbury_rank2_inverse_update(np.linalg.inv(K), U, W, 0, 0)
 
 
 def test_greville_append_row_pinv_independent(rng):

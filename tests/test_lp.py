@@ -14,15 +14,16 @@ def test_simple_bounded():
     assert res.fun == pytest.approx(-2.0, abs=1e-9)
 
 
+def _slack_form(c, A_ub, b_ub):
+    """``min c@x s.t. A_ub x <= b_ub, x >= 0`` with one slack column per row."""
+    k = A_ub.shape[0]
+    return np.hstack([A_ub, np.eye(k)]), b_ub, np.concatenate([c, np.zeros(k)])
+
+
 def test_inequality_rows():
-    # min -x s.t. x + y <= 1, x, y >= 0
-    res = solve_lp(
-        np.array([-1.0, 0.0]),
-        A_ub=np.array([[1.0, 1.0]]),
-        b_ub=np.array([1.0]),
-        lb=0.0,
-        ub=10.0,
-    )
+    # min -x s.t. x + y <= 1, 0 <= x, y <= 10
+    A_ub = np.vstack([[1.0, 1.0], np.eye(2)])
+    res = solve_standard_form(*_slack_form(np.array([-1.0, 0.0]), A_ub, np.array([1.0, 10.0, 10.0])))
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -54,7 +55,8 @@ def test_infeasible():
 
 
 def test_unbounded():
-    res = solve_lp(np.array([-1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
+    # min -x s.t. -x <= 0, x >= 0
+    res = solve_standard_form(*_slack_form(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])))
     assert res.status == "unbounded"
 
 
@@ -67,10 +69,10 @@ def test_redundant_equalities():
 
 
 def test_degenerate_does_not_cycle():
-    # classic degeneracy: many redundant constraints through the optimum
-    A_ub = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
-    b_ub = np.ones(4)
-    res = solve_lp(np.array([-1.0, 0.0]), A_ub=A_ub, b_ub=b_ub, lb=0.0, ub=5.0)
+    # classic degeneracy: many redundant constraints through the optimum; 0 <= x <= 5
+    A_ub = np.vstack([[[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], np.eye(2)])
+    b_ub = np.array([1.0, 1.0, 1.0, 1.0, 5.0, 5.0])
+    res = solve_standard_form(*_slack_form(np.array([-1.0, 0.0]), A_ub, b_ub))
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -83,11 +85,46 @@ def test_random_against_scipy(seed):
     A_ub = rng.normal(size=(k, n))
     interior = rng.uniform(-0.5, 0.5, size=n)
     b_ub = A_ub @ interior + rng.uniform(0.1, 1.0, size=k)  # keeps the LP feasible
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lb=-1.0, ub=1.0)
+    # -1 <= x <= 1 as y = x + 1 in [0, 2]
+    A_y = np.vstack([A_ub, np.eye(n)])
+    b_y = np.concatenate([b_ub + A_ub.sum(axis=1), np.full(n, 2.0)])
+    res = solve_standard_form(*_slack_form(c, A_y, b_y))
     ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-1, 1)] * n, method="highs")
     assert res.status == "optimal" and ref.status == 0
+    x = res.x[:n] - 1.0
+    assert res.fun - c.sum() == pytest.approx(ref.fun, abs=1e-8)
+    assert np.all(A_ub @ x <= b_ub + 1e-8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_box_equality_against_scipy(seed):
+    # min c@x s.t. A_eq x = b_eq, lb <= x <= ub; infeasible for odd seeds
+    rng = np.random.default_rng(100 + seed)
+    n, k = 7, 3
+    c = rng.normal(size=n)
+    A_eq = rng.normal(size=(k, n))
+    lb = -rng.uniform(0.5, 2.0, size=n)
+    ub = rng.uniform(0.5, 2.0, size=n)
+    b_eq = A_eq @ rng.uniform(lb, ub)
+    if seed % 2:  # an equality no box point can meet
+        b_eq[0] = np.abs(A_eq[0]) @ np.maximum(np.abs(lb), ub) + 1.0
+    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+    ref = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=list(zip(lb, ub)), method="highs")
+    if seed % 2:
+        assert ref.status == 2 and res.status == "infeasible"
+        return
+    assert ref.status == 0 and res.status == "optimal"
     assert res.fun == pytest.approx(ref.fun, abs=1e-8)
-    assert np.all(A_ub @ res.x <= b_ub + 1e-8)
+    np.testing.assert_allclose(A_eq @ res.x, b_eq, atol=1e-8)
+    assert np.all(res.x >= lb - 1e-9) and np.all(res.x <= ub + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "bound", [{"lb": -np.inf, "ub": 1.0}, {"lb": 0.0, "ub": np.inf}, {"lb": [0.0, np.nan], "ub": 1.0}]
+)
+def test_non_finite_bound_rejected(bound):
+    with pytest.raises(ValueError):
+        solve_lp(np.ones(2), **bound)
 
 
 def test_result_type():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from czempc.runtime import (
     ActiveSubsetOracle,
@@ -65,6 +66,23 @@ def test_simulate_infeasible_start(dint_cp, dint_tree):
 def test_polyhedral_feasible(dint_cp):
     assert polyhedral_feasible(dint_cp, np.zeros(2))
     assert not polyhedral_feasible(dint_cp, np.array([30.0, 0.0]))
+
+
+@pytest.mark.parametrize("problem", ["doubleint", "paper4state"])
+def test_polyhedral_feasible_against_highs(problem, dint_cp, paper_cp):
+    cp, half = (dint_cp, 8.0) if problem == "doubleint" else (paper_cp(2), 12.0)
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for _ in range(60):
+        x0 = rng.uniform(-half, half, size=cp.n)
+        ref = scipy.optimize.linprog(
+            np.zeros(cp.A_poly.shape[1]), A_ub=cp.A_poly, b_ub=cp.b_poly + cp.E_poly @ x0,
+            bounds=(None, None), method="highs",
+        )
+        assert ref.status in (0, 2)  # feasible or infeasible
+        assert polyhedral_feasible(cp, x0) == (ref.status == 0)
+        verdicts.append(ref.status == 0)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_oracle_unconstrained_region(dint_cp):
