@@ -8,7 +8,7 @@ Problem files are JSON with row-major nested arrays::
       "U": {"c": [..], "G": [[..]]},
       "T": {"c": [..], "G": [[..]], "F": [[..]], "theta": [..]}
            or {"recurrence": {"K": "lqr" | [[..]], "maxIter": 50, "tol": 1e-8}},
-      "options": {"radiusThreshold": 1e-6, "eps": 1e-10, "variant": "iter-quick"}
+      "options": {"radiusThreshold": 1e-6, "eps": 1e-10, "variant": "iter"}
     }
 
 Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
@@ -87,7 +87,10 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
         if "recurrence" in t_doc:
             rec = t_doc["recurrence"]
             gain = rec.get("K", "lqr")
-            if not isinstance(gain, str):
+            if isinstance(gain, str):
+                if gain != "lqr":
+                    raise ProblemFileError(f"unknown gain directive {gain!r}; use \"lqr\" or a matrix")
+            else:
                 gain = np.asarray(gain, dtype=float)
             T = TerminalRecurrence(gain, int(rec.get("maxIter", 50)), float(rec.get("tol", 1e-8)))
         else:
@@ -134,7 +137,7 @@ def _load_tree(path: str):
     try:
         with open(path) as fh:
             return import_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load tree {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -208,7 +211,7 @@ def cmd_bench(args) -> int:
         if v not in VARIANTS:
             print(f"error: unknown variant {v!r}", file=sys.stderr)
             return EXIT_PARSE
-    rows = ["variant,N,regions,seconds,numerical,quick,empty,discovered"]
+    rows = ["variant,N,regions,seconds,numerical,empty,discovered"]
     for N in range(args.nmin, args.nmax + 1):
         problem, options = _load_problem(problem_doc_path, N)
         cp = _condense(problem)
@@ -219,16 +222,14 @@ def cmd_bench(args) -> int:
             try:
                 tree = explore(cp, **opts)
             except InfeasibleProblem:
-                rows.append(f"{variant},{N},infeasible,,,,,")
+                rows.append(f"{variant},{N},infeasible,,,,")
                 continue
             except ResourceCap:  # reported in the table, not fatal
-                rows.append(f"{variant},{N},cap_exceeded,,,,,")
+                rows.append(f"{variant},{N},cap_exceeded,,,,")
                 continue
             dt = time.perf_counter() - t0
             st = tree.stats
-            rows.append(
-                f"{variant},{N},{tree.num_regions},{dt:.6f},{st.numerical},{st.quick},{st.empty},{st.discovered}"
-            )
+            rows.append(f"{variant},{N},{tree.num_regions},{dt:.6f},{st.numerical},{st.empty},{st.discovered}")
     text = "\n".join(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("problem")
     p_solve.add_argument("out")
     p_solve.add_argument("-N", type=int, default=None, help="override the horizon of the problem file")
-    p_solve.add_argument("--variant", choices=VARIANTS, default=None)
+    p_solve.add_argument("--variant", default=None, help=f"one of {', '.join(VARIANTS)} (exit 3 otherwise)")
     p_solve.add_argument("--radius-threshold", type=float, default=None)
     p_solve.add_argument("--eps", type=float, default=None)
     p_solve.add_argument("--dot", default=None, help="also write a DOT rendering here")

@@ -1,10 +1,10 @@
 """Breadth-first enumeration of active sets over the lifted hypercube.
 
 Starting from the empty active set, each node spawns candidates by activating
-one facet of every still-untouched coordinate pair. Candidates pass through a
-three-level pruning hierarchy (numerical rejection, the quick child-face
-check, Chebyshev-radius emptiness) before becoming tree nodes. The result is
-a rooted tree whose edges are labeled by the activated constraint index.
+one facet of every still-untouched coordinate pair. A candidate is rejected
+if its KKT solve fails numerically or if its critical region's Chebyshev
+radius falls below the threshold; the rest become tree nodes. The result is a
+rooted tree whose edges are labeled by the activated constraint index.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from czempc.regions import (
 )
 from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty
 
-VARIANTS = ("baseline", "iter", "iter-quick")
+VARIANTS = ("baseline", "iter")
 
 
 class InfeasibleProblem(RuntimeError):
@@ -73,7 +73,6 @@ class RegionNode:
 class ExplorationStats:
     discovered: int = 0
     numerical: int = 0
-    quick: int = 0
     empty: int = 0
     dedup: int = 0
     examined: int = 0
@@ -82,7 +81,6 @@ class ExplorationStats:
         return {
             "discovered": self.discovered,
             "numerical": self.numerical,
-            "quick": self.quick,
             "empty": self.empty,
             "dedup": self.dedup,
             "examined": self.examined,
@@ -131,13 +129,6 @@ def enumerate_children(active: ActiveSet) -> list:
     return out
 
 
-def quick_check(parent_ared: tuple, child_ared: tuple) -> bool:
-    """Necessary non-emptiness test: the child must pin exactly one new polyhedral row."""
-    parent_set = set(parent_ared)
-    child_set = set(child_ared)
-    return parent_set <= child_set and len(child_set - parent_set) == 1
-
-
 def explore(
     cp: CondensedProblem,
     variant: str = "baseline",
@@ -145,19 +136,15 @@ def explore(
     eps: float = 1e-10,
     node_cap: int = 1_000_000,
     depth_cap: int | None = None,
-    quick_enabled: bool | None = None,
 ) -> SolutionTree:
     """BFS over candidate active sets; returns the solution tree.
 
-    ``variant`` selects how child regions are computed ('baseline' from
-    scratch, 'iter'/'iter-quick' by low-rank updates) and whether the quick
-    check prunes ('iter-quick' only, unless overridden via ``quick_enabled``).
+    ``variant`` selects how child regions are computed: 'baseline' from
+    scratch, 'iter' by low-rank updates of the parent's factorizations.
+    Both accept the same candidates.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    use_quick = (variant == "iter-quick") if quick_enabled is None else quick_enabled
-    if use_quick and not cp.poly_has_terminal:
-        raise ValueError("quick check needs the full polyhedral form (zonotopic terminal set)")
     if depth_cap is None:
         depth_cap = cp.Dbar - cp.nbar_c
 
@@ -197,21 +184,15 @@ def explore(
             except RegionRejected:
                 stats.numerical += 1
                 continue
-            if use_quick:
-                child_ared = reduced_active_set(cp, res.law)
-                if not quick_check(node.ared, child_ared):
-                    stats.quick += 1
-                    continue
             if is_empty(Polytope(res.region.L, res.region.l), radius_threshold):
                 stats.empty += 1
                 continue
-            if not use_quick:  # without the quick check only accepted nodes need it
-                child_ared = reduced_active_set(cp, res.law)
             stats.discovered += 1
             if len(tree.nodes) >= node_cap:
                 raise ResourceCap(f"node cap {node_cap} exceeded")
             node_id = len(tree.nodes)
-            tree.nodes.append(RegionNode(node_id, res, child_ared, node.node_id, new_index))
+            ared = reduced_active_set(cp, res.law)
+            tree.nodes.append(RegionNode(node_id, res, ared, node.node_id, new_index))
             tree.index[bits] = node_id
             queue.append(node_id)
     return tree
@@ -266,26 +247,33 @@ def export_json(tree: SolutionTree) -> str:
 
 def import_json(text: str) -> SolutionTree:
     """Rebuild a tree from :func:`export_json` output (laws/regions only;
-    KKT caches and duals are not serialized)."""
+    KKT caches and duals are not serialized). A malformed file raises
+    ``ValueError``."""
     data = json.loads(text)
-    if data.get("format") != "czempc-tree":
+    if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
-    tree = SolutionTree(
-        Dbar=data["Dbar"],
-        n=data["n"],
-        m=data["m"],
-        N=data["N"],
-        variant=data["variant"],
-        radius_threshold=data["radius_threshold"],
-    )
-    st = data["stats"]
-    tree.stats = ExplorationStats(**st)
-    for nd in data["nodes"]:
-        active = ActiveSet(tree.Dbar, tuple(nd["active"]))
-        law = AffineLaw(np.asarray(nd["Ku"], dtype=float), np.asarray(nd["ku"], dtype=float))
-        region = CriticalRegion(np.asarray(nd["L"], dtype=float), np.asarray(nd["l"], dtype=float))
-        result = RegionResult(active, law, region, duals=None, cache=None)
-        node = RegionNode(nd["id"], result, tuple(nd["ared"]) if nd["ared"] is not None else None, nd["parent"], nd["edge_label"])
-        tree.nodes.append(node)
-        tree.index[active.bits] = nd["id"]
+    try:
+        tree = SolutionTree(
+            Dbar=data["Dbar"],
+            n=data["n"],
+            m=data["m"],
+            N=data["N"],
+            variant=data["variant"],
+            radius_threshold=data["radius_threshold"],
+        )
+        stats = dict(data["stats"])
+        # older version-1 files count the candidates a since-removed necessary
+        # test pruned before the emptiness LP; every one of them was empty
+        stats["empty"] += stats.pop("quick", 0)
+        tree.stats = ExplorationStats(**stats)
+        for nd in data["nodes"]:
+            active = ActiveSet(tree.Dbar, tuple(nd["active"]))
+            law = AffineLaw(np.asarray(nd["Ku"], dtype=float), np.asarray(nd["ku"], dtype=float))
+            region = CriticalRegion(np.asarray(nd["L"], dtype=float), np.asarray(nd["l"], dtype=float))
+            result = RegionResult(active, law, region, duals=None, cache=None)
+            ared = tuple(nd["ared"]) if nd["ared"] is not None else None
+            tree.nodes.append(RegionNode(nd["id"], result, ared, nd["parent"], nd["edge_label"]))
+            tree.index[active.bits] = nd["id"]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed tree file: {exc!r}") from exc
     return tree

@@ -233,11 +233,13 @@ def _chebyshev(P: Polytope, cutoff: float) -> ChebyshevResult:
 
         min b'y  s.t.  A'y = 0,  ||A||'y = 1,  y >= 0.
 
-    The primal is always feasible (take ``r`` small enough), so the dual is
-    never unbounded, and an infeasible dual means ``radius = +inf``. Every
-    feasible ``y`` bounds the radius from above (weak duality), so the solve
-    stops once ``b'y < cutoff`` and reports that bound as the radius, with no
-    centre. At the optimum the centre and radius solve ``A_B x + r ||A_B|| = b_B``
+    An infeasible dual means ``radius = +inf``. An unbounded dual means an
+    infeasible primal, which exact arithmetic rules out (take ``r`` small
+    enough); it does happen on rows with norms just above the zero cut and
+    large offsets, where the radius is hugely negative, so it reports
+    ``radius = -inf`` (empty). Every feasible ``y`` bounds the radius from
+    above (weak duality), so the solve stops once ``b'y < cutoff`` and reports
+    that bound as the radius, with no centre. At the optimum the centre and radius solve ``A_B x + r ||A_B|| = b_B``
     over the basic rows ``B``.
     """
     norms = np.linalg.norm(P.A, axis=1)
@@ -255,8 +257,8 @@ def _chebyshev(P: Polytope, cutoff: float) -> ChebyshevResult:
         return ChebyshevResult(None, res.fun)
     if res.status == "infeasible":
         return ChebyshevResult(None, np.inf)
-    if res.status != "optimal":
-        raise ArithmeticError(f"Chebyshev dual LP reported {res.status}; the primal is always feasible")
+    if res.status == "unbounded":
+        return ChebyshevResult(None, -np.inf)
     A_B, b_B = Abar[res.basis], b[res.basis]
     if A_B.shape[0] == A_B.shape[1]:
         z = np.linalg.solve(A_B, b_B)

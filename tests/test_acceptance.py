@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from czempc.explorer import explore
 from czempc.linalg import principal_angles
 from czempc.lp import solve_lp
 from czempc.regions import kkt_residuals, region_from_scratch
@@ -23,7 +22,7 @@ from czempc.sets import (
 )
 
 HORIZONS = (1, 2, 3, 4)
-VARIANT_NAMES = ("baseline", "iter", "iter-quick")
+VARIANT_NAMES = ("baseline", "iter")
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -98,24 +97,20 @@ def test_criterion_2_variant_equivalence(paper_tree):
         if len(set(counts[N].values())) != 1:
             ok, detail = False, f"region counts differ at N={N}: {counts[N]}"
             break
-        base = trees["baseline"]
-        for v in ("iter", "iter-quick"):
-            other = trees[v]
-            if set(other.index) != set(base.index):
-                ok, detail = False, f"node sets differ at N={N} ({v})"
-                break
-            for bits, node_id in base.index.items():
-                a = base.nodes[node_id]
-                b = other.nodes[other.index[bits]]
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(a.law.Ku - b.law.Ku), initial=0.0)),
-                    float(np.max(np.abs(a.law.ku - b.law.ku), initial=0.0)),
-                    float(np.max(np.abs(a.region.L - b.region.L), initial=0.0)),
-                    float(np.max(np.abs(a.region.l - b.region.l), initial=0.0)),
-                )
-        if not ok:
+        base, other = trees["baseline"], trees["iter"]
+        if set(other.index) != set(base.index):
+            ok, detail = False, f"node sets differ at N={N}"
             break
+        for bits, node_id in base.index.items():
+            a = base.nodes[node_id]
+            b = other.nodes[other.index[bits]]
+            worst = max(
+                worst,
+                float(np.max(np.abs(a.law.Ku - b.law.Ku), initial=0.0)),
+                float(np.max(np.abs(a.law.ku - b.law.ku), initial=0.0)),
+                float(np.max(np.abs(a.region.L - b.region.L), initial=0.0)),
+                float(np.max(np.abs(a.region.l - b.region.l), initial=0.0)),
+            )
     total = sum(paper_tree.build_seconds.values())
     ok = ok and worst <= 1e-6 and total <= 300.0
     if ok:
@@ -229,20 +224,6 @@ def test_criterion_6_coverage(paper_tree, oracle_samples):
     ok = uncovered == 0 and false_hits == 0
     detail = f"{len(feasible)} feasible covered, {len(infeasible)} infeasible draws, {false_hits} false hits"
     _report(6, "coverage", ok, detail)
-
-
-def test_criterion_7_quick_check_soundness(paper_cp, paper_tree):
-    ok = True
-    detail = ""
-    for N in (2, 3):
-        with_quick = paper_tree(N, "iter-quick")
-        without = explore(paper_cp(N), variant="iter-quick", quick_enabled=False)
-        if set(with_quick.index) != set(without.index):
-            ok, detail = False, f"node sets differ at N={N}"
-            break
-    if ok:
-        detail = "N=2,3: identical accepted node sets with and without the quick check"
-    _report(7, "quick-check soundness", ok, detail)
 
 
 def test_criterion_8_double_integrator_against_oracle(dint_cp, dint_tree):

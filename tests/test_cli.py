@@ -100,10 +100,10 @@ def test_bench_csv(tmp_path):
     )
     assert code == EXIT_OK
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "variant,N,regions,seconds,numerical,quick,empty,discovered"
+    assert lines[0] == "variant,N,regions,seconds,numerical,empty,discovered"
     assert len(lines) == 5  # 2 horizons x 2 variants
     for line in lines[1:]:
-        variant, N, regions, seconds, numerical, quick, empty, discovered = line.split(",")
+        variant, N, regions, seconds, numerical, empty, discovered = line.split(",")
         assert variant in ("iter", "baseline")
         assert int(regions) > 0
         assert float(seconds) >= 0
@@ -128,7 +128,7 @@ def test_bench_node_cap(tmp_path, monkeypatch):
     code = main(["bench", str(DINT_PROBLEM), "--nmin", "2", "--nmax", "2",
                  "--variants", "iter", "--out", str(csv_path)])
     assert code == EXIT_OK
-    assert csv_path.read_text().strip().splitlines()[1] == "iter,2,cap_exceeded,,,,,"
+    assert csv_path.read_text().strip().splitlines()[1] == "iter,2,cap_exceeded,,,,"
 
 
 def test_bench_propagates_other_errors(tmp_path, monkeypatch):
@@ -152,6 +152,50 @@ def test_eval_malformed_tree(tmp_path, capsys):
     assert exc.value.code == EXIT_PARSE
 
 
+def _write_tree(tmp_path, edit):
+    tree = tmp_path / "tree.json"
+    main(["solve", str(DINT_PROBLEM), str(tree)])
+    data = json.loads(tree.read_text())
+    edit(data)
+    tree.write_text(json.dumps(data))
+    return tree
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["stats"].update(pruned=1),  # a count this format does not have
+        lambda d: d["nodes"][1].update(active=[99]),  # beyond the 2 Dbar facets
+    ],
+    ids=["unknown-stats-key", "active-index-out-of-range"],
+)
+def test_eval_malformed_tree_content(tmp_path, capsys, edit):
+    tree = _write_tree(tmp_path, edit)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(tree), "0,0"])
+    assert exc.value.code == EXIT_PARSE
+    assert "cannot load tree" in capsys.readouterr().err
+
+
+def test_eval_reads_tree_with_quick_check_stats(tmp_path, capsys):
+    # version-1 files written while the quick check existed may name its
+    # variant and count the (empty) candidates it pruned apart
+    def older(d):
+        d["variant"] = "iter-quick"
+        d["stats"]["empty"] -= 2
+        d["stats"]["quick"] = 2
+
+    tree = _write_tree(tmp_path, older)
+    capsys.readouterr()
+    assert main(["eval", str(tree), "1.0,0.5"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] != "infeasible"
+    loaded = import_json(tree.read_text())
+    assert loaded.variant == "iter-quick"
+    st = loaded.stats
+    assert st.discovered + st.numerical + st.empty + st.dedup == st.examined
+
+
 def test_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"A": [[1, 1], [0, 1]],')
@@ -172,10 +216,45 @@ def test_missing_key(tmp_path, capsys):
     assert exc.value.code == EXIT_PARSE
 
 
-def test_unknown_variant_option(tmp_path):
+def test_unknown_variant_in_problem_file(tmp_path, capsys):
+    doc = json.loads(PAPER_PROBLEM.read_text())
+    doc["options"]["variant"] = "iter-quick"  # removed: it never changed a tree
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
-        main(["solve", str(DINT_PROBLEM), str(tmp_path / "out.json"), "--variant", "turbo"])
-    assert exc.value.code == 2  # argparse rejects the choice
+        main(["solve", str(path), str(tmp_path / "out.json"), "-N", "1"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unknown variant 'iter-quick'" in capsys.readouterr().err
+
+
+def test_unknown_gain_directive(tmp_path, capsys):
+    doc = json.loads(DINT_PROBLEM.read_text())
+    doc["T"] = {"recurrence": {"K": "dlqr"}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), str(tmp_path / "out.json")])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err.strip()
+    assert "unknown gain directive 'dlqr'" in err and len(err.splitlines()) == 1
+
+
+def test_solve_paper_problem_with_cz_terminal_set(tmp_path, capsys):
+    # the problem file's own options with the LQR-invariant CZ terminal set
+    doc = json.loads(PAPER_PROBLEM.read_text())
+    doc["T"] = {"recurrence": {"K": "lqr"}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), str(tmp_path / "out.json"), "-N", "1"]) == EXIT_OK
+    assert "77 critical regions" in capsys.readouterr().out
+
+
+def test_unknown_variant_option(tmp_path):
+    # a validation error like a bad problem file; exit 2 would mean infeasible
+    for variant in ("turbo", "iter-quick"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DINT_PROBLEM), str(tmp_path / "out.json"), "--variant", variant])
+        assert exc.value.code == EXIT_PARSE
 
 
 @pytest.mark.parametrize(

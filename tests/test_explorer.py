@@ -12,12 +12,11 @@ from czempc.explorer import (
     export_dot,
     export_json,
     import_json,
-    quick_check,
     swap_indices,
 )
 from czempc.regions import ActiveSet, reduced_active_set
 from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
-from czempc.sets import ConstrainedZonotope, Zonotope
+from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev
 
 
 def test_swap_indices():
@@ -33,21 +32,13 @@ def test_enumerate_children_order():
     assert all(child.contains(label) for child, label in children)
 
 
-def test_quick_check():
-    assert quick_check((), (3,))
-    assert quick_check((3,), (3, 7))
-    assert not quick_check((3,), (3,))  # no new pinned row
-    assert not quick_check((3,), (7,))  # parent row lost
-    assert not quick_check((), (3, 7))  # two new rows at once
-
-
 def test_double_integrator_tree(dint_tree, dint_cp):
     tree = dint_tree
     assert tree.num_regions == 9
     assert tree.nodes[0].active.indices == ()
     assert tree.nodes[0].parent is None
     st = tree.stats
-    assert st.discovered + st.numerical + st.quick + st.empty + st.dedup == st.examined
+    assert st.discovered + st.numerical + st.empty + st.dedup == st.examined
     assert st.discovered == tree.num_regions - 1
     assert st.dedup > 0
     assert st.numerical > 0  # parameter-pinned facets always reject
@@ -71,10 +62,9 @@ def test_index_lookup(dint_tree):
 
 
 def test_variants_agree_double_integrator(dint_cp, dint_tree):
-    for variant in ("baseline", "iter-quick"):
-        other = explore(dint_cp, variant=variant)
-        assert other.num_regions == dint_tree.num_regions
-        assert set(other.index) == set(dint_tree.index)
+    other = explore(dint_cp, variant="baseline")
+    assert other.num_regions == dint_tree.num_regions
+    assert set(other.index) == set(dint_tree.index)
 
 
 def test_variants_agree_cz_terminal(paper_doc):
@@ -91,8 +81,8 @@ def test_variants_agree_cz_terminal(paper_doc):
 
 
 def test_stored_ared_matches_law(dint_cp, dint_tree):
-    # without the quick check the reduced active set is computed after acceptance
-    for tree in (dint_tree, explore(dint_cp, variant="iter-quick")):
+    # the reduced active set is computed once per accepted node
+    for tree in (dint_tree, explore(dint_cp, variant="baseline")):
         for nd in tree.nodes:
             assert nd.ared == reduced_active_set(dint_cp, nd.law)
 
@@ -138,12 +128,10 @@ def _cz_terminal_problem():
     return build_condensed_qp(p)
 
 
-def test_quick_requires_polyhedral_terminal():
+def test_explores_cz_terminal_without_polyhedral_rows():
     cp = _cz_terminal_problem()
     assert not cp.poly_has_terminal
-    with pytest.raises(ValueError):
-        explore(cp, variant="iter-quick")
-    # the CZ machinery itself still handles the equality-constrained terminal
+    # the CZ machinery handles the equality-constrained terminal on its own
     tree = explore(cp, variant="iter")
     assert tree.num_regions > 0
 
@@ -160,14 +148,47 @@ def test_oracle_requires_polyhedral_terminal():
         polyhedral_feasible(cp, np.zeros(2))
 
 
-@pytest.mark.xfail(
-    reason="with parallelotope state/input sets every lifted facet pins exactly one "
-    "polyhedral row, so the coefficient-identity reduced active set makes the quick "
-    "check a tautology for surviving candidates; it never fires on these instances",
-    strict=True,
-)
-def test_quick_counter_fires(paper_tree):
-    assert paper_tree(2, "iter-quick").stats.quick > 0
+def _parallelotope_problem(A, B, GX, GU, N):
+    n, m = B.shape
+    return build_condensed_qp(MpcProblem(
+        A, B, np.eye(n), 0.1 * np.eye(m), np.eye(n), N,
+        Zonotope(np.zeros(n), GX), Zonotope(np.zeros(m), GU), Zonotope(np.zeros(n), 0.7 * GX),
+    ))
+
+
+def _assert_variants_match_oracle(cp):
+    trees = {v: explore(cp, variant=v) for v in VARIANTS}
+    assert set(trees["iter"].index) == set(trees["baseline"].index)
+    for tree in trees.values():
+        for nd in tree.nodes:
+            center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
+            sol = oracle_qp(cp, center)
+            assert sol is not None
+            assert np.all(np.abs(nd.law(center) - sol.u_star) <= 1e-6 * (1.0 + np.abs(sol.u_star)))
+    return trees
+
+
+def test_chebyshev_unbounded_dual_is_empty():
+    # `iter` regions here carry rows with norms near 1e-13 and offsets up to
+    # 3e5; the Chebyshev dual LP then reports unbounded, which means empty
+    cp = _parallelotope_problem(
+        np.array([[0.76, -0.23], [-0.48, 1.28]]), np.array([[0.27], [0.49]]),
+        np.array([[4.36, 2.01], [1.75, 2.25]]), np.array([[-1.06]]), 3,
+    )
+    trees = _assert_variants_match_oracle(cp)
+    assert trees["iter"].num_regions == 41
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_parallelotopes_agree_with_oracle(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3))
+    A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    B = rng.standard_normal((2, m))
+    GX = 3.0 * rng.standard_normal((2, 2))
+    GU = rng.standard_normal((m, m))
+    N = int(rng.integers(1, 3))
+    _assert_variants_match_oracle(_parallelotope_problem(A, B, GX, GU, N))
 
 
 def test_export_dot(dint_tree):
@@ -197,7 +218,9 @@ def test_json_roundtrip_exact(dint_tree):
 def test_import_rejects_foreign_json():
     with pytest.raises(ValueError):
         import_json('{"format": "something-else"}')
+    with pytest.raises(ValueError):
+        import_json("[1]")
 
 
 def test_variant_names():
-    assert VARIANTS == ("baseline", "iter", "iter-quick")
+    assert VARIANTS == ("baseline", "iter")
