@@ -172,24 +172,42 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _parse_state(text: str, n: int) -> np.ndarray:
+    """A comma-separated state of ``n`` finite numbers; exit 3 otherwise."""
+    try:
+        x0 = np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        x0 = None
+    if x0 is None or x0.shape != (n,) or not np.all(np.isfinite(x0)):
+        print(f"error: invalid state {text!r}: expected {n} finite comma-separated numbers", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return x0
+
+
 def cmd_eval(args) -> int:
     tree = _load_tree(args.tree)
-    points = [np.asarray([float(v) for v in text.split(",")]) for text in args.x0]
+    points = [_parse_state(text, tree.n) for text in args.x0]
     print("node," + ",".join(f"u{j}" for j in range(tree.m)))
     for x0 in points:
-        node_id = locate(tree, x0)
-        if node_id is None:
+        try:
+            u0 = evaluate(tree, x0)
+        except InfeasibleError:
             print("infeasible")
             continue
-        u0 = tree.nodes[node_id].law(x0)[: tree.m]
-        print(f"{node_id}," + ",".join(repr(float(v)) for v in u0))
+        print(f"{locate(tree, x0)}," + ",".join(repr(float(v)) for v in u0))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     problem, _ = _load_problem(args.problem, None)
     tree = _load_tree(args.tree)
-    x0 = np.asarray([float(v) for v in args.x0.split(",")])
+    if (tree.n, tree.m) != (problem.n, problem.m):
+        print(
+            f"error: tree {args.tree} has n={tree.n}, m={tree.m}; the problem has n={problem.n}, m={problem.m}",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
+    x0 = _parse_state(args.x0, problem.n)
     try:
         traj = simulate(tree, problem.A_d, problem.B_d, problem.Q, problem.R, x0, args.steps)
     except InfeasibleError as exc:
@@ -200,7 +218,7 @@ def cmd_simulate(args) -> int:
     for k in range(traj.inputs.shape[0]):
         xs = ",".join(repr(float(v)) for v in traj.states[k])
         us = ",".join(repr(float(v)) for v in traj.inputs[k])
-        print(f"{k},{xs},{us},{traj.costs[k]!r}")
+        print(f"{k},{xs},{us},{float(traj.costs[k])!r}")
     return EXIT_OK
 
 

@@ -248,7 +248,8 @@ def export_json(tree: SolutionTree) -> str:
 def import_json(text: str) -> SolutionTree:
     """Rebuild a tree from :func:`export_json` output (laws/regions only;
     KKT caches and duals are not serialized). A malformed file raises
-    ``ValueError``."""
+    ``ValueError``, as does a node whose ``id`` is not its position or whose
+    ``L``, ``l``, ``Ku`` or ``ku`` has the wrong shape."""
     data = json.loads(text)
     if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
@@ -266,14 +267,24 @@ def import_json(text: str) -> SolutionTree:
         # test pruned before the emptiness LP; every one of them was empty
         stats["empty"] += stats.pop("quick", 0)
         tree.stats = ExplorationStats(**stats)
-        for nd in data["nodes"]:
+        rows, nu = 2 * tree.Dbar, tree.N * tree.m
+        shapes = {"Ku": (nu, tree.n), "ku": (nu,), "L": (rows, tree.n), "l": (rows,)}
+        for position, nd in enumerate(data["nodes"]):
+            if nd["id"] != position:
+                raise ValueError(f"malformed tree file: node at position {position} has id {nd['id']!r}")
+            arrays = {key: np.asarray(nd[key], dtype=float) for key in shapes}
+            for key, shape in shapes.items():
+                if arrays[key].shape != shape:
+                    raise ValueError(
+                        f"malformed tree file: node {position} has {key} of shape {arrays[key].shape}, expected {shape}"
+                    )
             active = ActiveSet(tree.Dbar, tuple(nd["active"]))
-            law = AffineLaw(np.asarray(nd["Ku"], dtype=float), np.asarray(nd["ku"], dtype=float))
-            region = CriticalRegion(np.asarray(nd["L"], dtype=float), np.asarray(nd["l"], dtype=float))
+            law = AffineLaw(arrays["Ku"], arrays["ku"])
+            region = CriticalRegion(arrays["L"], arrays["l"])
             result = RegionResult(active, law, region, duals=None, cache=None)
             ared = tuple(nd["ared"]) if nd["ared"] is not None else None
-            tree.nodes.append(RegionNode(nd["id"], result, ared, nd["parent"], nd["edge_label"]))
-            tree.index[active.bits] = nd["id"]
+            tree.nodes.append(RegionNode(position, result, ared, nd["parent"], nd["edge_label"]))
+            tree.index[active.bits] = position
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed tree file: {exc!r}") from exc
     return tree

@@ -1,9 +1,12 @@
 """Online use of the explicit solution and the brute-force validation oracle.
 
-Point location is a linear scan over the tree in discovery (BFS) order;
-overlapping closed regions tie-break to the first hit. The oracle solves the
-condensed QP by enumerating active subsets of the polyhedral rows, entirely
-independent of the region machinery, and is the ground truth for tests.
+Point location searches the regions in discovery (BFS) order, a block of
+stacked halfspaces at a time: the blocks hold 1, 4, 16, ... consecutive
+regions, so a hit near the root costs one small matvec and a hit deep in the
+tree O(log R) of them. Overlapping closed regions tie-break to the first hit
+in BFS order. The oracle solves the condensed QP by enumerating active
+subsets of the polyhedral rows, entirely independent of the region
+machinery, and is the ground truth for tests.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from czempc.condense import CondensedProblem, feasible_polytope
 from czempc.sets import is_empty
 
 LOCATE_TOL = 1e-9
+BLOCK_GROWTH = 4  # regions per point-location block: 1, 4, 16, 64, ...
 
 
 class InfeasibleError(RuntimeError):
@@ -42,12 +46,38 @@ class OracleSolution:
     active_rows: tuple
 
 
+def _blocks(tree) -> list:
+    """``(first node id, stacked L, stacked l)`` per block, cached on the tree.
+
+    Each block stacks the ``2 Dbar`` rows of consecutive regions; ``L`` is
+    column-major, which makes its tall, thin matvec several times faster.
+    Rebuilt when the tree's node count has changed since the last build.
+    """
+    cached = getattr(tree, "_locate_blocks", None)
+    if cached is not None and cached[0] == len(tree.nodes):
+        return cached[1]
+    blocks = []
+    first, size = 0, 1
+    while first < len(tree.nodes):
+        chunk = tree.nodes[first : first + size]
+        L = np.asfortranarray(np.vstack([nd.region.L for nd in chunk]))
+        l = np.concatenate([nd.region.l for nd in chunk])
+        blocks.append((first, L, l))
+        first += size
+        size *= BLOCK_GROWTH
+    tree._locate_blocks = (len(tree.nodes), blocks)
+    return blocks
+
+
 def locate(tree, x0, tol: float = LOCATE_TOL):
     """First node (BFS order) whose region contains ``x0``; None when outside."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    for nd in tree.nodes:
-        if nd.region.contains(x0, tol):
-            return nd.node_id
+    rows = 2 * tree.Dbar
+    for first, L, l in _blocks(tree):
+        inside = (L @ x0 <= l + tol).reshape(-1, rows).all(axis=1)
+        k = int(inside.argmax())
+        if inside[k]:
+            return first + k
     return None
 
 

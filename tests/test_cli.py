@@ -75,6 +75,37 @@ def test_simulate_command(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,x0,x1,u0,stage_cost"
     assert len(lines) == 6
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 5
+        for field in fields:
+            float(field)
+
+
+@pytest.mark.parametrize(
+    "state", ["1,2,3", "1", "1,abc", "", "1,nan", "inf,0"],
+    ids=["too-long", "too-short", "not-a-number", "empty", "nan", "inf"],
+)
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_malformed_state_exits_3(tmp_path, capsys, command, state):
+    out = tmp_path / "tree.json"
+    main(["solve", str(DINT_PROBLEM), str(out)])
+    capsys.readouterr()
+    argv = ["eval", str(out), "0,0", state] if command == "eval" else ["simulate", str(DINT_PROBLEM), str(out), state]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # states are checked before any output
+    assert len(captured.err.strip().splitlines()) == 1 and "invalid state" in captured.err
+
+
+def test_simulate_tree_of_another_problem(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    main(["solve", str(DINT_PROBLEM), str(out)])
+    capsys.readouterr()
+    assert main(["simulate", str(PAPER_PROBLEM), str(out), "0,0,0,0"]) == EXIT_PARSE
+    assert "n=2" in capsys.readouterr().err
 
 
 def test_simulate_infeasible_exit(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -215,11 +218,27 @@ def test_json_roundtrip_exact(dint_tree):
         assert np.array_equal(a.region.l, b.region.l)
 
 
-def test_import_rejects_foreign_json():
+def test_import_rejects_foreign_json(dint_tree):
     with pytest.raises(ValueError):
         import_json('{"format": "something-else"}')
     with pytest.raises(ValueError):
         import_json("[1]")
+    good = json.loads(export_json(dint_tree))
+    # point location stacks 2 Dbar rows of L and l per region, and evaluate
+    # indexes the node list by the position it returns
+    edits = {
+        "L": lambda nd: nd["L"].pop(),
+        "l": lambda nd: nd["l"].append(0.0),
+        "Ku": lambda nd: [row.append(0.0) for row in nd["Ku"]],
+        "ku": lambda nd: nd.update(ku=[nd["ku"]]),
+        "id": lambda nd: nd.update(id=nd["id"] + 1),
+    }
+    for key, edit in edits.items():
+        data = copy.deepcopy(good)
+        edit(data["nodes"][3])
+        with pytest.raises(ValueError, match=key):
+            import_json(json.dumps(data))
+    assert import_json(json.dumps(good)).num_regions == dint_tree.num_regions
 
 
 def test_variant_names():

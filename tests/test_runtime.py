@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from czempc.explorer import export_json, import_json
 from czempc.runtime import (
+    LOCATE_TOL,
     ActiveSubsetOracle,
     CapExceeded,
     InfeasibleError,
@@ -31,6 +33,83 @@ def test_locate_every_chebyshev_center(dint_tree):
         node_id = locate(dint_tree, center)
         assert node_id is not None
         assert dint_tree.nodes[node_id].region.contains(center)
+
+
+def scan_locate(tree, x0, tol=LOCATE_TOL):
+    """The per-region scan that the blocked search in ``locate`` replaced."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    for nd in tree.nodes:
+        if nd.region.contains(x0, tol):
+            return nd.node_id
+    return None
+
+
+def _centers(tree):
+    return np.array([chebyshev(Polytope(nd.region.L, nd.region.l)).center for nd in tree.nodes])
+
+
+def _facet_points(tree, centers):
+    """Where the segment from a parent's centre to its child's leaves the
+    parent: on a facet the two regions share, so both contain it."""
+    out = []
+    for parent, child, _ in tree.edges():
+        L, l = tree.nodes[parent].region.L, tree.nodes[parent].region.l
+        c, d = centers[parent], centers[child] - centers[parent]
+        rate = L @ d
+        t = np.min((l - L @ c)[rate > 0] / rate[rate > 0])
+        out.append(c + t * d)
+    return np.array(out)
+
+
+def _probe_points(tree, doc, rng):
+    """Seeded uniform points over X doubled (some outside every region), every
+    Chebyshev centre, and points on facets shared by a parent and its child."""
+    c, G = np.asarray(doc["X"]["c"], dtype=float), np.asarray(doc["X"]["G"], dtype=float)
+    uniform = c + rng.uniform(-2.0, 2.0, (400, G.shape[1])) @ G.T
+    centers = _centers(tree)
+    return uniform, centers, _facet_points(tree, centers)
+
+
+@pytest.fixture(params=["doubleint", "paper4state-N1", "paper4state-N2"])
+def located(request, dint_tree, dint_doc, paper_tree, paper_doc):
+    if request.param == "doubleint":
+        return dint_tree, dint_doc
+    return paper_tree(int(request.param[-1]), "iter"), paper_doc
+
+
+@pytest.mark.parametrize("tol", [LOCATE_TOL, 1e-3])
+def test_locate_matches_scan(located, tol):
+    tree, doc = located
+    uniform, centers, facets = _probe_points(tree, doc, np.random.default_rng(11))
+    found = {}
+    for name, points in [("uniform", uniform), ("centers", centers), ("facets", facets)]:
+        found[name] = [locate(tree, x, tol) for x in points]
+        assert found[name] == [scan_locate(tree, x, tol) for x in points], name
+    assert None in found["uniform"] and any(k is not None for k in found["uniform"])
+    # 9 = 1 + 4 + 4 and 31 = 1 + 4 + 16 + 10 regions: both end in a partial block
+    assert tree.num_regions in (9, 31)
+    if tol == LOCATE_TOL:
+        # each centre lies in its own region only, so every block edge is hit
+        assert found["centers"] == list(range(tree.num_regions))
+    # a point on a facet shared by a parent and its child goes to the parent
+    ties = [
+        (parent, k)
+        for (parent, child, _), x, k in zip(tree.edges(), facets, found["facets"])
+        if tree.nodes[child].region.contains(x, tol)
+    ]
+    assert ties and all(k <= parent for parent, k in ties)
+
+
+def test_locate_rebuilds_after_new_node(paper_tree):
+    full = paper_tree(2, "iter")
+    tree = import_json(export_json(full))
+    centers = _centers(full)
+    del tree.nodes[6:]
+    assert [locate(tree, x) for x in centers] == [scan_locate(tree, x) for x in centers]
+    assert locate(tree, centers[6]) is None
+    tree.nodes.append(full.nodes[6])
+    assert locate(tree, centers[6]) == 6
+    assert [locate(tree, x) for x in centers] == [scan_locate(tree, x) for x in centers]
 
 
 def test_evaluate_matches_law(dint_tree):
