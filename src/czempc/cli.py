@@ -12,7 +12,9 @@ Problem files are JSON with row-major nested arrays::
     }
 
 Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
-when condensing fails, e.g. a terminal recurrence that does not converge).
+when condensing fails, e.g. a terminal recurrence that does not converge, and
+on a NaN, infinite or negative radius threshold, a NaN or negative eps, or a
+negative ``--steps``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from czempc.explorer import (
     VARIANTS,
     InfeasibleProblem,
     ResourceCap,
+    check_thresholds,
     explore,
     export_dot,
     export_json,
@@ -147,10 +150,15 @@ def _solve_options(options: dict, args) -> dict:
     if variant not in VARIANTS:
         print(f"error: unknown variant {variant!r}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    radius = args.radius_threshold
-    if radius is None:
-        radius = float(options.get("radiusThreshold", DEFAULT_RADIUS_THRESHOLD))
-    eps = args.eps if args.eps is not None else float(options.get("eps", 1e-10))
+    try:
+        radius = args.radius_threshold
+        if radius is None:
+            radius = float(options.get("radiusThreshold", DEFAULT_RADIUS_THRESHOLD))
+        eps = args.eps if args.eps is not None else float(options.get("eps", 1e-10))
+        check_thresholds(radius, eps)
+    except (TypeError, ValueError) as exc:
+        print(f"error: invalid option: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
     return {"variant": variant, "radius_threshold": radius, "eps": eps}
 
 
@@ -208,6 +216,9 @@ def cmd_simulate(args) -> int:
         )
         return EXIT_PARSE
     x0 = _parse_state(args.x0, problem.n)
+    if args.steps < 0:
+        print(f"error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         traj = simulate(tree, problem.A_d, problem.B_d, problem.Q, problem.R, x0, args.steps)
     except InfeasibleError as exc:

@@ -229,10 +229,10 @@ def build_terminal_set(A_d, B_d, K, X: Zonotope, U: Zonotope, max_iter: int = 50
     omega0 = generalized_intersect(X.to_cz(), K, U.to_cz())
     dirs = np.vstack([np.eye(n), -np.eye(n)])
     omega = omega0
-    sup = np.array([support(omega, d) for d in dirs])
+    sup = support(omega, dirs)
     for _ in range(max_iter):
         candidate = intersect(affine_map(np.zeros(n), Minv, omega), omega0)
-        sup_next = np.array([support(candidate, d) for d in dirs])
+        sup_next = support(candidate, dirs)
         omega = candidate
         if np.max(np.abs(sup_next - sup)) < tol:
             return omega

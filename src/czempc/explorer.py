@@ -24,10 +24,11 @@ from czempc.regions import (
     RegionRejected,
     RegionResult,
     reduced_active_set,
+    region_children,
     region_from_scratch,
-    region_iterative,
+    region_iterative,  # noqa: F401 (traced by perfbench/spans.py as regions.update)
 )
-from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty
+from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_stack
 
 VARIANTS = ("baseline", "iter")
 
@@ -129,6 +130,16 @@ def enumerate_children(active: ActiveSet) -> list:
     return out
 
 
+def check_thresholds(radius_threshold: float, eps: float) -> None:
+    """Raise ``ValueError`` unless ``radius_threshold`` is finite and ``>= 0``
+    and ``eps`` is ``>= 0``. A negative or NaN threshold would accept empty
+    regions."""
+    if not (np.isfinite(radius_threshold) and radius_threshold >= 0):
+        raise ValueError(f"radius threshold must be a finite number >= 0, got {radius_threshold!r}")
+    if not eps >= 0:
+        raise ValueError(f"eps must be a number >= 0, got {eps!r}")
+
+
 def explore(
     cp: CondensedProblem,
     variant: str = "baseline",
@@ -141,10 +152,13 @@ def explore(
 
     ``variant`` selects how child regions are computed: 'baseline' from
     scratch, 'iter' by low-rank updates of the parent's factorizations.
-    Both accept the same candidates.
+    Both accept the same candidates. Raises ``ValueError`` on an unknown
+    variant, a NaN, infinite or negative ``radius_threshold``, or a NaN or
+    negative ``eps``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    check_thresholds(radius_threshold, eps)
     if depth_cap is None:
         depth_cap = cp.Dbar - cp.nbar_c
 
@@ -169,6 +183,7 @@ def explore(
         head += 1
         if node.active.cardinality >= depth_cap:
             continue
+        fresh = []
         for child_active, new_index in enumerate_children(node.active):
             stats.examined += 1
             bits = child_active.bits
@@ -176,15 +191,15 @@ def explore(
                 stats.dedup += 1
                 continue
             seen.add(bits)
-            try:
-                if variant == "baseline":
-                    res = region_from_scratch(cp, child_active)
-                else:
-                    res = region_iterative(cp, node.result, new_index, eps)
-            except RegionRejected:
+            fresh.append((child_active, new_index))
+        if not fresh:
+            continue
+        outcomes = _solve_children(cp, node.result, fresh, variant, radius_threshold, eps)
+        for (_, new_index), res in zip(fresh, outcomes):
+            if res == "numerical":
                 stats.numerical += 1
                 continue
-            if is_empty(Polytope(res.region.L, res.region.l), radius_threshold):
+            if res == "empty":
                 stats.empty += 1
                 continue
             stats.discovered += 1
@@ -193,9 +208,36 @@ def explore(
             node_id = len(tree.nodes)
             ared = reduced_active_set(cp, res.law)
             tree.nodes.append(RegionNode(node_id, res, ared, node.node_id, new_index))
-            tree.index[bits] = node_id
+            tree.index[res.active.bits] = node_id
             queue.append(node_id)
     return tree
+
+
+def _solve_children(cp, parent: RegionResult, fresh: list, variant: str, radius_threshold: float, eps: float) -> list:
+    """One outcome per fresh (child active set, new index) pair, in order: the
+    accepted :class:`RegionResult`, or the rejection ``"numerical"`` or
+    ``"empty"``. The KKT solves ('iter': one stacked update of the parent;
+    'baseline': one from-scratch solve each) are followed by one stacked
+    emptiness test; the stacks are freed on return."""
+    outcomes = ["numerical"] * len(fresh)
+    if variant == "baseline":
+        solved = {}
+        for position, (child_active, _) in enumerate(fresh):
+            try:
+                solved[position] = region_from_scratch(cp, child_active)
+            except RegionRejected:
+                continue
+        kept = list(solved)
+        L = np.array([res.region.L for res in solved.values()])
+        l = np.array([res.region.l for res in solved.values()])
+        result = solved.pop
+    else:
+        stack = region_children(cp, parent, [i for _, i in fresh], eps)
+        kept, L, l, result = stack.kept, stack.L, stack.l, stack.result
+    if len(kept):
+        for position, empty in zip(kept, is_empty_stack(L, l, radius_threshold)):
+            outcomes[position] = "empty" if empty else result(position)
+    return outcomes
 
 
 def export_dot(tree: SolutionTree) -> str:

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from czempc.condense import CondensedProblem
-from czempc.linalg import (
+from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces the dense updates by these names)
     PivotZeroError,
     SingularUpdateError,
     greville_append_row_pinv,
+    greville_update,
     null_space_qr,
     sparse_null_basis,
     woodbury_rank2_inverse_update,
+    woodbury_rank2_update,
 )
 
 PD_PIVOT_TOL = 1e-10
@@ -151,49 +153,102 @@ class RegionResult:
         return self.cache.Kinv @ (self.cache.kappa1 + self.cache.kappa2 @ np.asarray(x0, dtype=float).ravel())
 
 
-def _build_kappas(cp: CondensedProblem, active: ActiveSet, Z: np.ndarray):
-    nA = active.cardinality
-    if Z.shape[1] > 0:
-        k1 = np.concatenate([-Z.T @ cp.GQc, cp.theta1_D, np.ones(nA)])
-        k2 = np.vstack([-Z.T @ cp.GHt, cp.theta2_D, np.zeros((nA, cp.n))])
-    else:
-        # fully constrained case: K has no reduced-Hessian block, so only
-        # the equality and active-facet rows remain
-        k1 = np.concatenate([cp.theta1_D, np.ones(nA)])
-        k2 = np.vstack([cp.theta2_D, np.zeros((nA, cp.n))])
-    return k1, k2
-
-
-def _check_reduced_hessian(cp: CondensedProblem, Z: np.ndarray) -> None:
-    if Z.shape[1] == 0:
-        return
-    H = Z.T @ cp.GQG @ Z
+def _positive_definite(H: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``H`` (B, k, k): whether the Cholesky
+    factorization of its symmetric part exists with every pivot above
+    ``PD_PIVOT_TOL``."""
+    H = 0.5 * (H + H.swapaxes(1, 2))
     try:
-        chol = np.linalg.cholesky(0.5 * (H + H.T))
-    except np.linalg.LinAlgError:
-        raise RegionRejected("second_order") from None
-    if np.min(np.diag(chol)) ** 2 <= PD_PIVOT_TOL:
-        raise RegionRejected("second_order")
+        C = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:  # some matrix fails: find which, one by one
+        if len(H) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.array([_positive_definite(h[None])[0] for h in H], dtype=bool)
+    return np.diagonal(C, axis1=1, axis2=2).min(axis=1, initial=np.inf) ** 2 > PD_PIVOT_TOL
 
 
-def _finish(cp: CondensedProblem, active: ActiveSet, Z, Kinv, T, Tpinv) -> RegionResult:
-    k1, k2 = _build_kappas(cp, active, Z)
-    Kk1 = Kinv @ k1
-    Kk2 = Kinv @ k2
-    law = AffineLaw(cp.G_D @ Kk2, cp.c_D + cp.G_D @ Kk1)
+@dataclass
+class RegionStack:
+    """Candidate regions of one parent, solved as one stack.
 
-    S_full = -Tpinv @ (cp.G_D.T @ (cp.Qtilde @ (cp.G_D @ Kk2)) + cp.GHt)
-    s_full = -Tpinv @ (cp.G_D.T @ (cp.Qtilde @ (cp.G_D @ Kk1 + cp.c_D)))
-    duals = DualSolution(S_full, s_full, cp.nbar_c)
+    Position ``p`` of the candidates is active set ``base + {added[p]}``
+    (just ``base`` where ``added[p] < 0``). ``reasons[p]`` is the rejection
+    reason of a candidate, or None; ``kept`` lists the positions that passed,
+    and every stack below holds those, in the same order. ``Kinv`` and
+    ``Tpinv`` are arrays or factored updates: either takes ``@`` per item
+    and ``[i]`` for a dense item. ``u[i] @ [1; x0]`` is the law and
+    ``S[i] @ [1; x0]`` the duals ``[lambda; mu_A]``; ``L``/``l`` are the
+    region rows the emptiness test reads.
+    """
 
-    inactive = active.inactive()
-    Y_I = cp.Y[inactive]
-    nA = active.cardinality
-    L = np.vstack([Y_I @ Kk2, -S_full[cp.nbar_c :]])
-    l = np.concatenate([np.ones(2 * cp.Dbar - nA) - Y_I @ Kk1, s_full[cp.nbar_c :]])
-    region = CriticalRegion(L, l)
-    cache = KktCache(Z, Kinv, T, Tpinv, k1, k2)
-    return RegionResult(active, law, region, duals, cache)
+    cp: CondensedProblem
+    base: ActiveSet
+    added: np.ndarray
+    reasons: list
+    kept: np.ndarray
+    Z: np.ndarray
+    Kinv: object
+    Tpinv: object
+    kappa: np.ndarray
+    u: np.ndarray
+    S: np.ndarray
+    L: np.ndarray
+    l: np.ndarray
+
+    def result(self, position: int) -> RegionResult:
+        """The region of candidate ``position``, copied out of the stack;
+        raises :class:`RegionRejected` for a rejected candidate."""
+        cp = self.cp
+        if self.reasons[position] is not None:
+            raise RegionRejected(self.reasons[position])
+        i = int(np.searchsorted(self.kept, position))
+        added = int(self.added[position])
+        active = self.base.with_index(added) if added >= 0 else self.base
+        law = AffineLaw(self.u[i, :, 1:].copy(), self.u[i, :, 0].copy())
+        duals = DualSolution(self.S[i, :, 1:].copy(), self.S[i, :, 0].copy(), cp.nbar_c)
+        region = CriticalRegion(self.L[i].copy(), self.l[i].copy())
+        T = np.hstack([cp.F_D.T, cp.Y[list(active.indices)].T])
+        cache = KktCache(
+            self.Z[i].copy(), np.array(self.Kinv[i]), T, np.array(self.Tpinv[i]),
+            self.kappa[i, :, 0].copy(), self.kappa[i, :, 1:].copy(),
+        )
+        return RegionResult(active, law, region, duals, cache)
+
+
+def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, Tpinv, inactive) -> RegionStack:
+    """Laws, duals and region rows of a stack of KKT systems.
+
+    ``Z`` (B, Dbar, k), the inverses ``Kinv``, the pseudoinverses ``Tpinv``
+    and the inactive facet indices ``inactive`` (B, 2 Dbar - n_A) belong to
+    the kept candidates. Every map is affine in ``x0`` and is carried as one
+    matrix with the constant in column 0.
+    """
+    B, k, nc, n = Z.shape[0], Z.shape[2], cp.nbar_c, cp.n
+    # right-hand side [-Z'(GQc + GHt x0); theta_D(x0); 1] of the KKT system
+    kappa = np.zeros((B, cp.Dbar, n + 1))
+    kappa[:, :k, 0] = -(cp.GQc @ Z)
+    kappa[:, :k, 1:] = -(Z.swapaxes(1, 2) @ cp.GHt)
+    kappa[:, k : k + nc, 0] = cp.theta1_D
+    kappa[:, k : k + nc, 1:] = cp.theta2_D
+    kappa[:, k + nc :, 0] = 1.0
+    Kk = Kinv @ kappa
+    u = cp.G_D @ Kk
+    u[:, :, 0] += cp.c_D
+    # stationarity solved for [lambda; mu_A] through the pseudoinverse of T
+    grad = cp.G_D.T @ (cp.Qtilde @ u)
+    grad[:, :, 1:] += cp.GHt
+    S = -(Tpinv @ grad)
+    # rows: inactive facets Y_I xi*(x0) <= 1, then mu_A(x0) >= 0; row i of Y
+    # is e_i for i < Dbar and -e_(i - Dbar) after
+    rows = inactive.shape[1]
+    YKk = Kk[np.arange(B)[:, None], inactive % cp.Dbar] * np.where(inactive < cp.Dbar, 1.0, -1.0)[:, :, None]
+    L = np.empty((B, rows + S.shape[1] - nc, n))
+    L[:, :rows] = YKk[:, :, 1:]
+    L[:, rows:] = -S[:, nc:, 1:]
+    l = np.empty((B, L.shape[1]))
+    l[:, :rows] = 1.0 - YKk[:, :, 0]
+    l[:, rows:] = S[:, nc:, 0]
+    return RegionStack(cp, base, added, reasons, kept, Z, Kinv, Tpinv, kappa, u, S, L, l)
 
 
 def region_from_scratch(cp: CondensedProblem, active: ActiveSet) -> RegionResult:
@@ -206,17 +261,77 @@ def region_from_scratch(cp: CondensedProblem, active: ActiveSet) -> RegionResult
     Z = null_space_qr(T.T)
     if Z.shape[1] != cp.Dbar - cp.nbar_c - nA:
         raise RegionRejected("singular")  # rank-deficient constraint stack
-    _check_reduced_hessian(cp, Z)
-    if Z.shape[1] > 0:
-        K = np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A])
-    else:
-        K = np.vstack([cp.F_D, Y_A])
+    if not _positive_definite((Z.T @ cp.GQG @ Z)[None])[0]:
+        raise RegionRejected("second_order")
     try:
-        Kinv = np.linalg.inv(K)
+        Kinv = np.linalg.inv(np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A]))
     except np.linalg.LinAlgError:
         raise RegionRejected("singular") from None
     Tpinv = np.linalg.pinv(T)
-    return _finish(cp, active, Z, Kinv, T, Tpinv)
+    stack = _finish(
+        cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None], Tpinv[None], active.inactive()[None]
+    )
+    return stack.result(0)
+
+
+def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
+    """Child regions ``parent.active + {i}`` for every ``i`` in ``new_indices``
+    (all inactive in the parent), by low-rank updates solved as one stack.
+
+    For each child the null basis shrinks by one column (sparse kernel of
+    the row ``z = y_i Zp`` with pivot ``j = argmax |z|``, so
+    ``Zc = Zp[:, sigma] + Zp[:, j] v'``), the pseudoinverse gains a column
+    (Greville step), and the KKT inverse absorbs a rank-2 correction plus a
+    row move (Woodbury identity). A child is rejected with ``second_order``
+    when its reduced Hessian fails the Cholesky test and with ``singular``
+    when ``z`` vanishes or the 2x2 update factor degenerates.
+    """
+    active = parent.active
+    idx = np.asarray(new_indices, dtype=int)
+    Zp, kp, nc = parent.cache.Z, parent.cache.Z.shape[1], cp.nbar_c
+    reasons = [None] * idx.size
+    live = np.arange(idx.size)  # candidate positions still in the stack
+
+    def keep(bad, reason):
+        for position in live[bad]:
+            reasons[position] = reason
+        return ~bad
+
+    if kp == 0:  # K cannot stay square past this depth
+        live = live[keep(np.ones(idx.size, dtype=bool), "singular")]
+        Zp = np.zeros((cp.Dbar, 1))  # keeps the empty stack's shapes valid
+    z = cp.Y[idx[live]] @ Zp
+    j = np.abs(z).argmax(axis=1)
+    try:
+        V = sparse_null_basis(z, j)
+    except PivotZeroError as exc:
+        ok = keep(exc.mask, "singular")
+        live, z, j = live[ok], z[ok], j[ok]
+        V = sparse_null_basis(z, j)
+    Zc = Zp @ V
+    ok = keep(~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
+    live, z, j, Zc = live[ok], z[ok], j[ok], Zc[ok]
+
+    pos = np.searchsorted(active.indices, idx[live])  # sorted rank of the new index
+    rows = np.arange(live.size)
+    U = np.zeros((live.size, cp.Dbar, 2))
+    U[rows, j, 0] = 1.0
+    U[:, :kp, 1] = -z / z[rows, j][:, None]
+    W = np.stack([cp.Y[idx[live]], Zp[:, j].T @ cp.GQG], axis=1)
+    target = (kp - 1) + nc + pos
+    try:
+        Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
+    except SingularUpdateError as exc:
+        ok = keep(exc.mask, "singular")
+        live, Zc, U, W, j, target, pos = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok], pos[ok]
+        Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
+
+    Tpinv = greville_update(parent.cache.Tpinv, parent.cache.T, cp.Y[idx[live]], nc + pos)
+    # the child's inactive facets: the parent's minus the new index
+    inactive = active.inactive()
+    r = np.arange(inactive.size - 1)
+    drop = np.searchsorted(inactive, idx[live])[:, None]
+    return _finish(cp, active, idx, reasons, live, Zc, Kinv, Tpinv, inactive[r + (r >= drop)])
 
 
 def region_iterative(
@@ -225,51 +340,13 @@ def region_iterative(
     new_index: int,
     eps: float = 1e-10,
 ) -> RegionResult:
-    """Child region for ``parent.active + {new_index}`` via low-rank updates.
-
-    The null basis shrinks by one column (sparse kernel of a row vector), the
-    pseudoinverse gains a column (Greville step), and the KKT inverse absorbs
-    a rank-2 correction plus a row move (Woodbury identity). Rejects with
-    ``second_order`` when the reduced Hessian fails its Cholesky test and with
-    ``singular`` when the 2x2 update factor degenerates.
+    """Child region for ``parent.active + {new_index}``: :func:`region_children`
+    on a stack of one. Rejects with ``second_order`` when the reduced Hessian
+    fails its Cholesky test and with ``singular`` when the update degenerates.
     """
-    active = parent.active
-    if active.contains(new_index):
+    if parent.active.contains(new_index):
         raise ValueError("index already active")
-    child = active.with_index(new_index)
-    Zp = parent.cache.Z
-    if Zp.shape[1] == 0:
-        raise RegionRejected("singular")  # K cannot stay square past this depth
-    y_i = cp.Y[new_index]
-
-    z = y_i @ Zp
-    j = int(np.argmax(np.abs(z)))
-    try:
-        V = sparse_null_basis(z, j)
-    except PivotZeroError:
-        raise RegionRejected("singular") from None
-    Zc = Zp @ V
-    _check_reduced_hessian(cp, Zc)
-
-    pos = child.indices.index(new_index)  # sorted rank of the new index
-    T_child = np.insert(parent.cache.T, cp.nbar_c + pos, y_i, axis=1)
-    Tpinv_child = greville_append_row_pinv(parent.cache.Tpinv, parent.cache.T, y_i, cp.nbar_c + pos)
-
-    kp = Zp.shape[1]
-    U = np.zeros((cp.Dbar, 2))
-    U[j, 0] = 1.0
-    col = np.empty(kp)
-    col[:j] = V[j, :j]
-    col[j] = -1.0
-    col[j + 1 :] = V[j, j:]
-    U[:kp, 1] = col
-    W = np.vstack([y_i, Zp[:, j] @ cp.GQG])
-    target = (kp - 1) + cp.nbar_c + pos
-    try:
-        Kinv_child = woodbury_rank2_inverse_update(parent.cache.Kinv, U, W, j, target, eps)
-    except SingularUpdateError:
-        raise RegionRejected("singular") from None
-    return _finish(cp, child, Zc, Kinv_child, T_child, Tpinv_child)
+    return region_children(cp, parent, [new_index], eps).result(0)
 
 
 def reduced_active_set(cp: CondensedProblem, law: AffineLaw, tol: float = ARED_TOL) -> tuple:

@@ -90,7 +90,12 @@ def evaluate(tree, x0) -> np.ndarray:
 
 
 def simulate(tree, A_d, B_d, Q, R, x0, steps: int) -> Trajectory:
-    """Closed loop: apply the first input block and roll the dynamics forward."""
+    """Closed loop: apply the first input block and roll the dynamics forward.
+
+    Raises ``ValueError`` on a negative ``steps``.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

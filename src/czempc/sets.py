@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from czempc.linalg import null_space_qr
-from czempc.lp import solve_lp, solve_standard_form
+from czempc.lp import solve_lp, solve_lp_stack, solve_stack
 
 DEFAULT_RADIUS_THRESHOLD = 1e-6
 
@@ -183,15 +183,18 @@ def intersect(Z1, Z2) -> ConstrainedZonotope:
     return generalized_intersect(Z1, np.eye(Z1.dim), Z2)
 
 
-def support(Z, d) -> float:
-    """Support function ``max {d@x : x in Z}`` via LP; ``-inf`` when empty."""
+def support(Z, d):
+    """Support function ``max {d@x : x in Z}`` via LP; ``-inf`` when empty.
+
+    ``d`` is one direction (a float comes back) or a (k, n) array of them
+    (an array of k values comes back); the directions share one phase 1.
+    """
     Z = _as_cz(Z)
-    d = np.asarray(d, dtype=float).ravel()
-    obj = -(Z.G.T @ d)
-    res = solve_lp(obj, A_eq=Z.F, b_eq=Z.theta, lb=-1.0, ub=1.0)
-    if res.status != "optimal":
-        return -np.inf
-    return float(d @ Z.c) - res.fun
+    D = np.asarray(d, dtype=float)
+    results = solve_lp_stack(-(np.atleast_2d(D) @ Z.G), A_eq=Z.F, b_eq=Z.theta, lb=-1.0, ub=1.0)
+    values = np.array([-np.inf if res.status != "optimal" else -res.fun for res in results])
+    values += np.atleast_2d(D) @ Z.c
+    return float(values[0]) if D.ndim == 1 else values
 
 
 def cz_contains_point(Z, x, tol: float = 1e-9) -> bool:
@@ -216,49 +219,73 @@ def chebyshev(P: Polytope) -> ChebyshevResult:
     """Largest inscribed ball of ``P``: ``max r s.t. A_i x + r ||A_i|| <= b_i``.
 
     Rows with a zero normal are constant constraints: a negative right-hand
-    side makes the polytope empty (``radius = -inf``), otherwise the row is
-    dropped. A polytope containing arbitrarily large balls reports
+    side makes the polytope empty (``radius = -inf``), otherwise the row
+    cannot bind. A polytope containing arbitrarily large balls reports
     ``radius = +inf``; an empty one a negative radius.
     """
-    return _chebyshev(P, -np.inf)
+    (res,), Abar = _chebyshev_duals(P.A[None], P.b[None], -np.inf)
+    return _ball(res, Abar[0], P.b)
 
 
 def is_empty(P: Polytope, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> bool:
     """Threshold-based emptiness: true iff the Chebyshev radius stays below the cut."""
-    return bool(_chebyshev(P, radius_threshold).radius < radius_threshold)
+    return bool(is_empty_stack(P.A[None], P.b[None], radius_threshold)[0])
 
 
-def _chebyshev(P: Polytope, cutoff: float) -> ChebyshevResult:
-    """Solve the Chebyshev LP through its dual, which has only ``n + 1`` rows:
+def is_empty_stack(A: np.ndarray, b: np.ndarray, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> np.ndarray:
+    """:func:`is_empty` for a stack of equal-shape polytopes ``{x : A[k] x <= b[k]}``
+    (``A`` is (B, m, n), ``b`` is (B, m)); one bool per polytope."""
+    results, Abar = _chebyshev_duals(A, b, radius_threshold)
+    radius = np.array([_ball(res, Abar[k], b[k]).radius for k, res in enumerate(results)])
+    return radius < radius_threshold
+
+
+def _chebyshev_duals(A: np.ndarray, b: np.ndarray, cutoff: float) -> tuple:
+    """Solve the Chebyshev LPs of a stack of polytopes through their duals,
+    which have only ``n + 1`` rows:
 
         min b'y  s.t.  A'y = 0,  ||A||'y = 1,  y >= 0.
+
+    A row with a zero normal gets a zero column with cost 1, so its ``y``
+    never enters the basis and every polytope of the stack keeps the same
+    shape. Returns one :class:`LpResult` per polytope (``None`` for one with
+    an unsatisfiable constant row, which is empty) and the stacked
+    ``[A, ||A||]``. Every feasible ``y`` bounds the radius from above (weak
+    duality), so a solve stops once ``b'y < cutoff``.
+    """
+    norms = np.linalg.norm(A, axis=2)
+    zero = norms <= 1e-14
+    Abar = np.concatenate([A, norms[:, :, None]], axis=2)
+    Abar[zero] = 0.0
+    cost = np.where(zero, 1.0, b)
+    rhs = np.zeros(Abar.shape[2])
+    rhs[-1] = 1.0
+    solvable = ~np.any(zero & (b < -1e-12), axis=1)
+    results = [None] * len(b)
+    live = solvable.nonzero()[0]
+    if live.size:
+        A_dual = Abar.swapaxes(1, 2) if live.size == len(b) else Abar[live].swapaxes(1, 2)
+        rhs = np.broadcast_to(rhs, (live.size, rhs.size))
+        for k, res in zip(live, solve_stack(A_dual, rhs, cost[live], cutoff=cutoff)):
+            results[k] = res
+    return results, Abar
+
+
+def _ball(res, Abar: np.ndarray, b: np.ndarray) -> ChebyshevResult:
+    """The ball told by one dual solve of :func:`_chebyshev_duals`.
 
     An infeasible dual means ``radius = +inf``. An unbounded dual means an
     infeasible primal, which exact arithmetic rules out (take ``r`` small
     enough); it does happen on rows with norms just above the zero cut and
     large offsets, where the radius is hugely negative, so it reports
-    ``radius = -inf`` (empty). Every feasible ``y`` bounds the radius from
-    above (weak duality), so the solve stops once ``b'y < cutoff`` and reports
-    that bound as the radius, with no centre. At the optimum the centre and radius solve ``A_B x + r ||A_B|| = b_B``
-    over the basic rows ``B``.
+    ``radius = -inf`` (empty). At a cutoff the dual objective is the radius
+    bound, with no centre. At the optimum the centre and radius solve
+    ``A_B x + r ||A_B|| = b_B`` over the basic rows ``B``.
     """
-    norms = np.linalg.norm(P.A, axis=1)
-    zero = norms <= 1e-14
-    if np.any(P.b[zero] < -1e-12):
+    if res is None:
         return ChebyshevResult(None, -np.inf)
-    if np.all(zero):
-        return ChebyshevResult(np.zeros(P.dim), np.inf)
-    Abar = np.hstack([P.A[~zero], norms[~zero][:, None]])
-    b = P.b[~zero]
-    rhs = np.zeros(Abar.shape[1])
-    rhs[-1] = 1.0
-    res = solve_standard_form(Abar.T, rhs, b, cutoff=cutoff)
-    if res.status == "cutoff":
-        return ChebyshevResult(None, res.fun)
-    if res.status == "infeasible":
-        return ChebyshevResult(None, np.inf)
-    if res.status == "unbounded":
-        return ChebyshevResult(None, -np.inf)
+    if res.status != "optimal":
+        return ChebyshevResult(None, {"infeasible": np.inf, "unbounded": -np.inf}.get(res.status, res.fun))
     A_B, b_B = Abar[res.basis], b[res.basis]
     if A_B.shape[0] == A_B.shape[1]:
         z = np.linalg.solve(A_B, b_B)

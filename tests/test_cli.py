@@ -100,6 +100,45 @@ def test_malformed_state_exits_3(tmp_path, capsys, command, state):
     assert len(captured.err.strip().splitlines()) == 1 and "invalid state" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-9"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_invalid_radius_threshold_exits_3(tmp_path, capsys, source, value):
+    # a negative or NaN threshold would accept empty regions silently
+    out = tmp_path / "tree.json"
+    if source == "flag":
+        argv = ["solve", str(DINT_PROBLEM), str(out), f"--radius-threshold={value}"]
+    else:
+        doc = json.loads(DINT_PROBLEM.read_text())
+        doc["options"]["radiusThreshold"] = float(value)
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(doc))
+        argv = ["solve", str(problem), str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "radius threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-10"])
+def test_invalid_eps_exits_3(tmp_path, capsys, value):
+    out = tmp_path / "tree.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(DINT_PROBLEM), "--nmin", "1", "--nmax", "1", f"--eps={value}", "--out", str(out)])
+    assert exc.value.code == EXIT_PARSE
+    assert "eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_steps_exits_3(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    main(["solve", str(DINT_PROBLEM), str(out)])
+    capsys.readouterr()
+    assert main(["simulate", str(DINT_PROBLEM), str(out), "2.0,-1.0", "--steps", "-3"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--steps" in captured.err
+
+
 def test_simulate_tree_of_another_problem(tmp_path, capsys):
     out = tmp_path / "tree.json"
     main(["solve", str(DINT_PROBLEM), str(out)])

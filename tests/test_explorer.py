@@ -194,6 +194,15 @@ def test_random_parallelotopes_agree_with_oracle(seed):
     _assert_variants_match_oracle(_parallelotope_problem(A, B, GX, GU, N))
 
 
+@pytest.mark.parametrize(
+    "option", [{"radius_threshold": np.nan}, {"radius_threshold": np.inf}, {"radius_threshold": -1e-6},
+               {"eps": np.nan}, {"eps": -1.0}],
+)
+def test_invalid_thresholds_rejected(dint_cp, option):
+    with pytest.raises(ValueError):
+        explore(dint_cp, **option)
+
+
 def test_export_dot(dint_tree):
     dot = export_dot(dint_tree)
     assert dot.startswith("digraph")

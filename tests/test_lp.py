@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from czempc import lp
-from czempc.lp import LpResult, SimplexStalled, solve_lp, solve_standard_form
+from czempc.lp import LpResult, SimplexStalled, solve_lp, solve_lp_stack, solve_stack, solve_standard_form
 
 
 def test_simple_bounded():
@@ -150,15 +150,114 @@ def _beale_tableau():
 
 def test_bland_fallback_breaks_cycle(monkeypatch):
     T, basis, A, b, c = _beale_tableau()
-    assert lp._run_simplex(T, basis, 1e-9) == "optimal"
+    T, basis = T[None], basis[None]  # a stack of one
+    assert lp._run_simplex(T, basis, 1e-9)[0] == "optimal"
     ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * 7, method="highs")
-    assert -T[-1, -1] == pytest.approx(ref.fun, abs=1e-9)
+    assert -T[0, -1, -1] == pytest.approx(ref.fun, abs=1e-9)
     # without the fallback the same tableau cycles until the iteration cap
     monkeypatch.setattr(lp, "_DEGENERATE_RUN", 10**9)
     monkeypatch.setattr(lp, "_MAX_ITER", 200)
     T, basis, *_ = _beale_tableau()
     with pytest.raises(SimplexStalled):
-        lp._run_simplex(T, basis, 1e-9)
+        lp._run_simplex(T[None], basis[None], 1e-9)
+
+
+def test_bland_fallback_is_per_lp():
+    # Beale's cycling LP between two that never pivot degenerately: each LP of
+    # the stack counts its own degenerate run, and every one matches its solve
+    # as a stack of one, pivot for pivot
+    T, basis, A, b, c = _beale_tableau()
+    others = [np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])]
+    stack = np.repeat(T[None], 3, axis=0)
+    stack[0, -1, :7] = others[0]
+    stack[2, -1, :7] = others[1]
+    bases = np.repeat(basis[None], 3, axis=0)
+    alone = [(stack[k : k + 1].copy(), bases[k : k + 1].copy()) for k in range(3)]
+    status = lp._run_simplex(stack, bases, 1e-9)
+    assert list(status) == ["optimal"] * 3
+    for k, (T1, basis1) in enumerate(alone):
+        assert lp._run_simplex(T1, basis1, 1e-9)[0] == "optimal"
+        np.testing.assert_array_equal(stack[k], T1[0])
+        np.testing.assert_array_equal(bases[k], basis1[0])
+        cost = c if k == 1 else others[k // 2]
+        ref = scipy.optimize.linprog(cost, A_eq=A, b_eq=b, bounds=[(0, None)] * 7, method="highs")
+        assert -stack[k, -1, -1] == pytest.approx(ref.fun, abs=1e-9)
+
+
+def _random_standard_form(rng, kind, m=4, n=9):
+    """``A x = b, x >= 0`` with a known status: optimal, infeasible, unbounded
+    or degenerate (many zero right-hand sides), plus a redundant row."""
+    A = rng.normal(size=(m, n))
+    x = rng.uniform(0.0, 1.0, size=n)
+    if kind == "degenerate":
+        x[: n - m + 1] = 0.0
+    b = A @ x
+    c = rng.normal(size=n)
+    if kind == "optimal" or kind == "degenerate":
+        c += np.abs(c).max() + 0.1  # positive costs: bounded below by 0
+    elif kind == "infeasible":
+        A[0] = np.abs(A[0])
+        b[0] = -1.0  # a nonnegative row cannot sum to a negative value
+    else:  # unbounded: a recession direction d >= 0 with A d = 0 and c'd < 0
+        A[:, -1] = -A[:, : n - 1] @ np.ones(n - 1)
+        b = A @ x
+        c = np.abs(c)
+        c[-1] = -(n - 1) * c.max() - 1.0
+    A[-1] = A[0] + A[1]
+    b[-1] = b[0] + b[1]
+    return A, b, c
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_matches_one_by_one(seed):
+    rng = np.random.default_rng(40 + seed)
+    kinds = ["optimal", "infeasible", "unbounded", "degenerate"] * 3
+    rng.shuffle(kinds)
+    problems = [_random_standard_form(rng, kind) for kind in kinds]
+    A = np.array([p[0] for p in problems])
+    b = np.array([p[1] for p in problems])
+    C = np.array([p[2] for p in problems])
+    # per-LP cutoffs: the first LP of each kind stops at its first feasible point
+    cutoff = np.array([1e3 if kinds.index(kind) == k else -np.inf for k, kind in enumerate(kinds)])
+    stacked = solve_stack(A, b, C, cutoff=cutoff)
+    seen = set()
+    for k, kind in enumerate(kinds):
+        alone = solve_standard_form(A[k], b[k], C[k], cutoff=cutoff[k])
+        res = stacked[k]
+        assert res.status == alone.status
+        seen.add(res.status)
+        expected = {"optimal": "optimal", "degenerate": "optimal", "infeasible": "infeasible", "unbounded": "unbounded"}[kind]
+        if cutoff[k] > 0 and expected != "infeasible":
+            expected = "cutoff"  # every feasible point beats a cutoff of 1e3
+        assert res.status == expected
+        if res.status == "optimal":
+            # the same pivots; phase 2's starting costs may round differently
+            np.testing.assert_allclose(res.x, alone.x, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(res.basis, alone.basis)
+            ref = scipy.optimize.linprog(C[k], A_eq=A[k], b_eq=b[k], bounds=[(0, None)] * A.shape[2], method="highs")
+            assert res.fun == pytest.approx(ref.fun, abs=1e-8 * (1.0 + abs(ref.fun)))
+            np.testing.assert_allclose(A[k] @ res.x, b[k], atol=1e-8)
+        if res.status == "cutoff":
+            assert res.fun == pytest.approx(alone.fun, rel=1e-12) and res.fun < cutoff[k]
+    assert seen == {"optimal", "infeasible", "unbounded", "cutoff"}
+
+
+def test_shared_phase_one_matches_separate_solves():
+    rng = np.random.default_rng(7)
+    n, k = 6, 2
+    A_eq = rng.normal(size=(k, n))
+    b_eq = A_eq @ rng.uniform(-0.5, 0.5, size=n)
+    C = rng.normal(size=(8, n))
+    results = solve_lp_stack(C, A_eq, b_eq, lb=-1.0, ub=1.0)
+    for c, res in zip(C, results):
+        alone = solve_lp(c, A_eq, b_eq, lb=-1.0, ub=1.0)
+        assert res.status == alone.status == "optimal"
+        assert res.fun == alone.fun
+        ref = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(-1, 1)] * n, method="highs")
+        assert res.fun == pytest.approx(ref.fun, abs=1e-8)
+    # an infeasible shared system leaves every objective infeasible
+    bad = solve_lp_stack(C, A_eq, b_eq + 100.0, lb=-1.0, ub=1.0)
+    assert [res.status for res in bad] == ["infeasible"] * len(C)
 
 
 def test_cutoff_stops_at_a_feasible_point():

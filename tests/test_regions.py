@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from czempc.cli import parse_problem
 from czempc.condense import MpcProblem, build_condensed_qp
+from czempc.explorer import enumerate_children, explore
 from czempc.regions import (
     ActiveSet,
     RegionRejected,
     kkt_residuals,
     reduced_active_set,
+    region_children,
     region_from_scratch,
     region_iterative,
 )
@@ -65,6 +68,39 @@ def test_iterative_matches_scratch_one_level(dint_cp):
         np.testing.assert_allclose(it.cache.Kinv, np.linalg.inv(K), atol=1e-8)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("case", ["paper4state-N2", "cz-n1"])
+def test_children_stack_matches_scratch(case, paper_doc):
+    # every candidate child of every node, updated as one stack per parent,
+    # against its own from-scratch solve; cz-n1 swaps in the LQR-invariant CZ
+    # terminal set (26 equality rows)
+    doc = dict(paper_doc, N=2) if case == "paper4state-N2" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    cp = build_condensed_qp(parse_problem(doc)[0])
+    tree = explore(cp, variant="iter")
+    accepted = rejected = 0
+    for nd in tree.nodes:
+        if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
+            continue
+        candidates = enumerate_children(nd.active)
+        stack = region_children(cp, nd.result, [i for _, i in candidates])
+        assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
+        for position, (child, _) in enumerate(candidates):
+            try:
+                sc = region_from_scratch(cp, child)
+            except RegionRejected:
+                with pytest.raises(RegionRejected):
+                    stack.result(position)
+                rejected += 1
+                continue
+            it = stack.result(position)
+            assert it.active == child
+            for got, want in [(it.law.Ku, sc.law.Ku), (it.law.ku, sc.law.ku), (it.region.L, sc.region.L),
+                              (it.region.l, sc.region.l)]:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * (1.0 + np.abs(want).max()))
+            np.testing.assert_array_equal(it.cache.T, sc.cache.T)
+            accepted += 1
+    assert accepted > 100 and rejected > 100
 
 
 def test_iterative_rejects_already_active(dint_cp):

@@ -206,3 +206,10 @@ def test_oracle_cached_on_problem(dint_cp):
 def test_oracle_size_cap(dint_cp):
     with pytest.raises(CapExceeded):
         ActiveSubsetOracle(dint_cp, size_cap=5)
+
+
+def test_simulate_rejects_negative_steps(dint_tree, dint_cp):
+    with pytest.raises(ValueError):
+        simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, np.zeros(2), steps=-1)
+    traj = simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, np.zeros(2), steps=0)
+    assert traj.states.shape == (1, 2) and traj.inputs.shape[0] == 0

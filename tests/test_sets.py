@@ -16,6 +16,7 @@ from czempc.sets import (
     intersect,
     generalized_intersect,
     is_empty,
+    is_empty_stack,
     minkowski_sum,
     support,
     zonotope_halfspaces,
@@ -194,6 +195,73 @@ def test_chebyshev_against_highs(seed):
         for t in (ref - 0.1, ref + 0.1, 0.0, DEFAULT_RADIUS_THRESHOLD):
             assert is_empty(P, t) == (res.radius < t)
     assert min(seen.values()) > 0
+
+
+def _polytope_stack(rng, n=3, m=9):
+    """Equal-shape polytopes of every kind, in a seeded order: bounded, empty,
+    unbounded, with a zero-normal row (feasible or not), and a slab (rank-
+    deficient normals, whose dual has a redundant row)."""
+    kinds = ["bounded", "empty", "unbounded", "zero-row", "bad-zero-row", "slab"] * 3
+    rng.shuffle(kinds)
+    A = np.empty((len(kinds), m, n))
+    b = np.empty((len(kinds), m))
+    for k, kind in enumerate(kinds):
+        Ak = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        center = rng.uniform(-2.0, 2.0, size=n)
+        width = rng.uniform(0.0, 1.0, size=m) * np.linalg.norm(Ak, axis=1)
+        if kind == "unbounded":  # normals with a positive first entry: balls grow along -e1
+            Ak[:, 0] = np.abs(Ak[:, 0]) + 0.1
+        elif kind == "slab":  # every normal along +-e1
+            Ak[:, 1:] = 0.0
+            Ak[: m // 2, 0] = np.abs(Ak[: m // 2, 0]) + 0.1
+            Ak[m // 2 :, 0] = -np.abs(Ak[m // 2 :, 0]) - 0.1
+            width = rng.uniform(0.1, 1.0, size=m) * np.abs(Ak[:, 0])
+        if kind == "empty":
+            width = rng.uniform(-1.0, 0.2, size=m) * np.linalg.norm(Ak, axis=1)
+        A[k], b[k] = Ak, Ak @ center + width
+        if kind in ("zero-row", "bad-zero-row"):
+            A[k, 0] = 0.0
+            b[k, 0] = 0.5 if kind == "zero-row" else -0.3
+    return kinds, A, b
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_empty_stack_against_chebyshev_and_highs(seed):
+    kinds, A, b = _polytope_stack(np.random.default_rng(300 + seed))
+    radii = []
+    for k, kind in enumerate(kinds):
+        P = Polytope(A[k], b[k])
+        res = chebyshev(P)
+        if kind == "bad-zero-row":
+            assert res.radius == -np.inf
+        else:
+            ref = _highs_radius(P)
+            assert (res.radius == np.inf) == (ref == np.inf)
+            if np.isfinite(ref):
+                assert res.radius == pytest.approx(ref, abs=1e-8 * (1.0 + abs(ref)))
+            if kind in ("bounded", "slab", "zero-row"):
+                assert ref > 0
+        radii.append(res.radius)
+    radii = np.array(radii)
+    assert np.isinf(radii[[kind == "unbounded" for kind in kinds]]).all()
+    finite = np.sort(radii[np.isfinite(radii)])
+    middle = float(finite[finite.size // 2 - 1 : finite.size // 2 + 1].mean())  # between two radii
+    for t in (0.0, DEFAULT_RADIUS_THRESHOLD, 0.3, middle):
+        got = is_empty_stack(A, b, t)
+        assert got.dtype == bool and got.shape == (len(kinds),)
+        np.testing.assert_array_equal(got, radii < t)
+        np.testing.assert_array_equal(got, [is_empty(Polytope(A[k], b[k]), t) for k in range(len(kinds))])
+
+
+def test_support_stack_matches_single_directions(rng):
+    Z = intersect(HEX, Zonotope(HEX.c + np.array([0.8, 0.0]), HEX.G))
+    D = rng.normal(size=(8, 2))
+    values = support(Z, D)
+    assert values.shape == (8,)
+    for d, value in zip(D, values):
+        assert value == pytest.approx(support(Z, d), rel=1e-12, abs=1e-12)
+    empty = ConstrainedZonotope(np.zeros(1), np.ones((1, 1)), np.ones((1, 1)), np.array([5.0]))
+    assert np.all(support(empty, np.ones((3, 1))) == -np.inf)
 
 
 def test_zonotope_halfspaces_box():
