@@ -12,9 +12,9 @@ Problem files are JSON with row-major nested arrays::
     }
 
 Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
-when condensing fails, e.g. a terminal recurrence that does not converge, and
-on a NaN, infinite or negative radius threshold, a NaN or negative eps, or a
-negative ``--steps``).
+on a command-line usage error, when condensing fails, e.g. a terminal
+recurrence that does not converge, and on a NaN, infinite or negative radius
+threshold, a NaN or negative eps, or a negative ``--steps``).
 """
 
 from __future__ import annotations
@@ -279,9 +279,17 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (unknown flag, missing argument, unparsable value)
+    with one line on stderr and exit 3, since exit 2 means infeasible."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="czempc", description="Explicit MPC over constrained zonotopes")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="czempc", description="Explicit MPC over constrained zonotopes")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_solve = sub.add_parser("solve", help="compute the explicit solution tree")
     p_solve.add_argument("problem")

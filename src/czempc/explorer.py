@@ -27,6 +27,7 @@ from czempc.regions import (
     region_children,
     region_from_scratch,
     region_iterative,  # noqa: F401 (traced by perfbench/spans.py as regions.update)
+    scratch_children,
 )
 from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_stack
 
@@ -216,27 +217,18 @@ def explore(
 def _solve_children(cp, parent: RegionResult, fresh: list, variant: str, radius_threshold: float, eps: float) -> list:
     """One outcome per fresh (child active set, new index) pair, in order: the
     accepted :class:`RegionResult`, or the rejection ``"numerical"`` or
-    ``"empty"``. The KKT solves ('iter': one stacked update of the parent;
-    'baseline': one from-scratch solve each) are followed by one stacked
-    emptiness test; the stacks are freed on return."""
-    outcomes = ["numerical"] * len(fresh)
+    ``"empty"``. One stacked KKT solve ('iter': low-rank updates of the
+    parent; 'baseline': from scratch) is followed by one stacked emptiness
+    test; only accepted children are copied out of the stack."""
+    added = [i for _, i in fresh]
     if variant == "baseline":
-        solved = {}
-        for position, (child_active, _) in enumerate(fresh):
-            try:
-                solved[position] = region_from_scratch(cp, child_active)
-            except RegionRejected:
-                continue
-        kept = list(solved)
-        L = np.array([res.region.L for res in solved.values()])
-        l = np.array([res.region.l for res in solved.values()])
-        result = solved.pop
+        stack = scratch_children(cp, parent.active, added)
     else:
-        stack = region_children(cp, parent, [i for _, i in fresh], eps)
-        kept, L, l, result = stack.kept, stack.L, stack.l, stack.result
-    if len(kept):
-        for position, empty in zip(kept, is_empty_stack(L, l, radius_threshold)):
-            outcomes[position] = "empty" if empty else result(position)
+        stack = region_children(cp, parent, added, eps)
+    outcomes = ["numerical"] * len(fresh)
+    if stack.kept.size:
+        for position, empty in zip(stack.kept, is_empty_stack(stack.L, stack.l, radius_threshold)):
+            outcomes[position] = "empty" if empty else stack.result(position)
     return outcomes
 
 

@@ -3,8 +3,9 @@
 Each active set over the lifted hypercube facets yields (when accepted) an
 affine control law and a polyhedral critical region, obtained from the
 second-order KKT system of the lifted QP. Regions can be computed from
-scratch (QR null space, dense inverse, SVD pseudoinverse) or by the low-rank
-updates that track a single constraint insertion.
+scratch (one SVD for the null basis and the pseudoinverse, a dense inverse)
+or by the low-rank updates that track a single constraint insertion; either
+way all children of one parent are solved as one stack.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from czempc.condense import CondensedProblem
-from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces the dense updates by these names)
+from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces null_space_qr and the dense updates by these names)
     PivotZeroError,
     SingularUpdateError,
     greville_append_row_pinv,
@@ -26,6 +27,7 @@ from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces the dense u
 )
 
 PD_PIVOT_TOL = 1e-10
+SVD_RTOL = 1e-11  # rank test of T: smallest singular value against the largest
 ARED_TOL = 1e-8
 
 
@@ -251,27 +253,75 @@ def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, Tpinv, in
     return RegionStack(cp, base, added, reasons, kept, Z, Kinv, Tpinv, kappa, u, S, L, l)
 
 
-def region_from_scratch(cp: CondensedProblem, active: ActiveSet) -> RegionResult:
-    """Full KKT solve for ``active``: QR null basis, dense inverse, SVD pinv."""
-    nA = active.cardinality
-    if nA > cp.Dbar - cp.nbar_c:
-        raise RegionRejected("singular")
-    Y_A = cp.Y[list(active.indices)]
-    T = np.hstack([cp.F_D.T, Y_A.T])
-    Z = null_space_qr(T.T)
-    if Z.shape[1] != cp.Dbar - cp.nbar_c - nA:
-        raise RegionRejected("singular")  # rank-deficient constraint stack
-    if not _positive_definite((Z.T @ cp.GQG @ Z)[None])[0]:
-        raise RegionRejected("second_order")
+def _reject(reasons: list, live: np.ndarray, bad: np.ndarray, reason: str) -> np.ndarray:
+    """Record ``reason`` for the candidates ``live[bad]``; returns the mask of
+    the stack items to keep."""
+    for position in live[bad]:
+        reasons[position] = reason
+    return ~bad
+
+
+def _singular(K: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``K``: whether ``np.linalg.inv`` fails on it."""
+    out = np.zeros(len(K), dtype=bool)
+    for b, k in enumerate(K):
+        try:
+            np.linalg.inv(k)
+        except np.linalg.LinAlgError:
+            out[b] = True
+    return out
+
+
+def scratch_children(cp: CondensedProblem, base: ActiveSet, added) -> RegionStack:
+    """Regions ``base + {i}`` for every ``i`` in ``added`` (all inactive in
+    ``base``), or ``base`` alone for ``added = [-1]``, each by a full KKT
+    solve, computed as one stack.
+
+    One SVD ``T = U diag(s) V'`` of each ``T = [F_D' Y_A']`` gives the rank
+    test (``singular`` unless ``s_min > SVD_RTOL * s_max``), the orthonormal
+    null basis ``Z = U[:, r:]`` of ``[F_D; Y_A]`` and the pseudoinverse
+    ``V diag(1/s) U[:, :r]'``. A candidate is rejected with ``second_order``
+    when its reduced Hessian ``Z'GQG Z`` fails the Cholesky test and with
+    ``singular`` when ``K = [Z'GQG; F_D; Y_A]`` cannot be inverted.
+    """
+    idx = np.asarray(added, dtype=int)
+    if (idx < 0).any() and (idx >= 0).any():
+        raise ValueError("added mixes new indices with -1")
+    act = np.broadcast_to(np.array(base.indices, dtype=int), (idx.size, base.cardinality))
+    if (idx >= 0).any():
+        act = np.sort(np.column_stack([act, idx]), axis=1)
+    nc, r = cp.nbar_c, cp.nbar_c + act.shape[1]
+    reasons = [None] * idx.size
+    live = np.arange(idx.size)  # candidate positions still in the stack
+    if r > cp.Dbar:  # more constraints than lifted coordinates
+        live = live[_reject(reasons, live, np.ones(idx.size, dtype=bool), "singular")]
+        act, r = act[:0, : cp.Dbar - nc], cp.Dbar  # keeps the empty stack's shapes valid
+    Y_A = cp.Y[act]  # (B, n_A, Dbar)
+    T = np.concatenate([np.broadcast_to(cp.F_D.T, (live.size, cp.Dbar, nc)), Y_A.swapaxes(1, 2)], axis=2)
+    U, s, Vt = np.linalg.svd(T, full_matrices=True)
+    ok = _reject(reasons, live, ~(s.min(axis=1, initial=np.inf) > SVD_RTOL * s.max(axis=1, initial=0.0)), "singular")
+    live, Y_A, U, s, Vt = live[ok], Y_A[ok], U[ok], s[ok], Vt[ok]
+    Z = U[:, :, r:]
+    Tpinv = (Vt.swapaxes(1, 2) / s[:, None, :]) @ U[:, :, :r].swapaxes(1, 2)
+    ZG = Z.swapaxes(1, 2) @ cp.GQG
+    ok = _reject(reasons, live, ~_positive_definite(ZG @ Z), "second_order")
+    live, Y_A, Z, Tpinv, ZG = live[ok], Y_A[ok], Z[ok], Tpinv[ok], ZG[ok]
+    K = np.concatenate([ZG, np.broadcast_to(cp.F_D, (live.size, nc, cp.Dbar)), Y_A], axis=1)
     try:
-        Kinv = np.linalg.inv(np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A]))
-    except np.linalg.LinAlgError:
-        raise RegionRejected("singular") from None
-    Tpinv = np.linalg.pinv(T)
-    stack = _finish(
-        cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None], Tpinv[None], active.inactive()[None]
-    )
-    return stack.result(0)
+        Kinv = np.linalg.inv(K)
+    except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
+        ok = _reject(reasons, live, _singular(K), "singular")
+        live, Z, Tpinv, K = live[ok], Z[ok], Tpinv[ok], K[ok]
+        Kinv = np.linalg.inv(K)
+    inactive = np.ones((live.size, 2 * cp.Dbar), dtype=bool)
+    inactive[np.arange(live.size)[:, None], act[live]] = False
+    inactive = np.nonzero(inactive)[1].reshape(live.size, 2 * cp.Dbar - act.shape[1])
+    return _finish(cp, base, idx, reasons, live, Z, Kinv, Tpinv, inactive)
+
+
+def region_from_scratch(cp: CondensedProblem, active: ActiveSet) -> RegionResult:
+    """Full KKT solve for ``active``: :func:`scratch_children` on a stack of one."""
+    return scratch_children(cp, active, [-1]).result(0)
 
 
 def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
@@ -291,25 +341,19 @@ def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps
     Zp, kp, nc = parent.cache.Z, parent.cache.Z.shape[1], cp.nbar_c
     reasons = [None] * idx.size
     live = np.arange(idx.size)  # candidate positions still in the stack
-
-    def keep(bad, reason):
-        for position in live[bad]:
-            reasons[position] = reason
-        return ~bad
-
     if kp == 0:  # K cannot stay square past this depth
-        live = live[keep(np.ones(idx.size, dtype=bool), "singular")]
+        live = live[_reject(reasons, live, np.ones(idx.size, dtype=bool), "singular")]
         Zp = np.zeros((cp.Dbar, 1))  # keeps the empty stack's shapes valid
     z = cp.Y[idx[live]] @ Zp
     j = np.abs(z).argmax(axis=1)
     try:
         V = sparse_null_basis(z, j)
     except PivotZeroError as exc:
-        ok = keep(exc.mask, "singular")
+        ok = _reject(reasons, live, exc.mask, "singular")
         live, z, j = live[ok], z[ok], j[ok]
         V = sparse_null_basis(z, j)
     Zc = Zp @ V
-    ok = keep(~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
+    ok = _reject(reasons, live, ~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
     live, z, j, Zc = live[ok], z[ok], j[ok], Zc[ok]
 
     pos = np.searchsorted(active.indices, idx[live])  # sorted rank of the new index
@@ -322,7 +366,7 @@ def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps
     try:
         Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
     except SingularUpdateError as exc:
-        ok = keep(exc.mask, "singular")
+        ok = _reject(reasons, live, exc.mask, "singular")
         live, Zc, U, W, j, target, pos = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok], pos[ok]
         Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
 

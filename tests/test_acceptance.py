@@ -162,7 +162,7 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
             worst_kinv,
             float(np.linalg.norm(cache.Kinv - Kinv_ref) / np.linalg.norm(Kinv_ref)),
         )
-        # null-space span against an independent QR factorization
+        # null-space span against an independent from-scratch SVD
         scratch = region_from_scratch(cp, nd.active)
         if Z.shape[1]:
             worst_angle = max(worst_angle, float(np.max(principal_angles(Z, scratch.cache.Z))))

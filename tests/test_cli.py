@@ -130,6 +130,30 @@ def test_invalid_eps_exits_3(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", str(DINT_PROBLEM), "--eps", "-1e-10"], ["solve", str(DINT_PROBLEM), "tree.json", "--bogus"],
+     ["solve", str(DINT_PROBLEM)], []],
+    ids=["eps-read-as-flag", "unknown-flag", "missing-argument", "missing-subcommand"],
+)
+def test_usage_error_exits_3(argv, capsys):
+    # argparse's own exit code 2 would read as "infeasible"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_negative_steps_exits_3(tmp_path, capsys):
     out = tmp_path / "tree.json"
     main(["solve", str(DINT_PROBLEM), str(out)])

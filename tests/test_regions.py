@@ -4,14 +4,18 @@ import pytest
 from czempc.cli import parse_problem
 from czempc.condense import MpcProblem, build_condensed_qp
 from czempc.explorer import enumerate_children, explore
+from czempc.linalg import null_space_qr
 from czempc.regions import (
     ActiveSet,
     RegionRejected,
+    _finish,
+    _positive_definite,
     kkt_residuals,
     reduced_active_set,
     region_children,
     region_from_scratch,
     region_iterative,
+    scratch_children,
 )
 from czempc.sets import Polytope, Zonotope, chebyshev
 
@@ -101,6 +105,72 @@ def test_children_stack_matches_scratch(case, paper_doc):
             np.testing.assert_array_equal(it.cache.T, sc.cache.T)
             accepted += 1
     assert accepted > 100 and rejected > 100
+
+
+def scratch_reference(cp, active):
+    """Reference from-scratch solve of one candidate, independent of the
+    stacked SVD: pivoted-QR null basis, dense inverse, SVD pseudoinverse,
+    then laws and region rows as a stack of one."""
+    nA = active.cardinality
+    if nA > cp.Dbar - cp.nbar_c:
+        raise RegionRejected("singular")
+    Y_A = cp.Y[list(active.indices)]
+    T = np.hstack([cp.F_D.T, Y_A.T])
+    Z = null_space_qr(T.T)
+    if Z.shape[1] != cp.Dbar - cp.nbar_c - nA:
+        raise RegionRejected("singular")
+    if not _positive_definite((Z.T @ cp.GQG @ Z)[None])[0]:
+        raise RegionRejected("second_order")
+    try:
+        Kinv = np.linalg.inv(np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A]))
+    except np.linalg.LinAlgError:
+        raise RegionRejected("singular") from None
+    stack = _finish(cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None],
+                    np.linalg.pinv(T)[None], active.inactive()[None])
+    return stack.result(0)
+
+
+def _check_against_reference(cp, stack, position, active):
+    """Candidate ``position`` of ``stack`` has the reference's rejection reason
+    or, when accepted, its law, duals and region rows; returns the reason."""
+    try:
+        ref = scratch_reference(cp, active)
+    except RegionRejected as exc:
+        assert stack.reasons[position] == exc.reason
+        return exc.reason
+    got = stack.result(position)
+    assert got.active == active
+    for g, w in [(got.law.Ku, ref.law.Ku), (got.law.ku, ref.law.ku), (got.duals.S, ref.duals.S),
+                 (got.duals.s, ref.duals.s), (got.region.L, ref.region.L), (got.region.l, ref.region.l)]:
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-9 * (1.0 + np.abs(w).max()))
+    np.testing.assert_array_equal(got.cache.T, ref.cache.T)
+    return None
+
+
+@pytest.mark.parametrize("case", ["paper4state-N2", "cz-n1"])
+def test_scratch_stack_matches_reference(case, paper_doc):
+    # every node as a stack of one, and every candidate child of every node
+    # solved from scratch as one stack per parent, against the per-candidate
+    # reference
+    doc = dict(paper_doc, N=2) if case == "paper4state-N2" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    cp = build_condensed_qp(parse_problem(doc)[0])
+    reasons = []
+    mixed = 0
+    for nd in explore(cp, variant="baseline").nodes:
+        assert _check_against_reference(cp, scratch_children(cp, nd.active, [-1]), 0, nd.active) is None
+        children = enumerate_children(nd.active)
+        stack = scratch_children(cp, nd.active, [i for _, i in children])
+        found = [_check_against_reference(cp, stack, p, child) for p, (child, _) in enumerate(children)]
+        assert stack.kept.tolist() == [p for p, reason in enumerate(found) if reason is None]
+        reasons += found
+        mixed += None in found and "singular" in found
+    assert reasons.count("singular") > 50 and None in reasons
+    assert mixed > 0  # some stack keeps candidates next to singular ones
+
+
+def test_scratch_children_rejects_mixed_added(dint_cp):
+    with pytest.raises(ValueError):
+        scratch_children(dint_cp, ActiveSet(dint_cp.Dbar), [0, -1])
 
 
 def test_iterative_rejects_already_active(dint_cp):
