@@ -24,10 +24,8 @@ from czempc.regions import (
     RegionRejected,
     RegionResult,
     reduced_active_set,
-    region_children,
     region_from_scratch,
-    region_iterative,  # noqa: F401 (traced by perfbench/spans.py as regions.update)
-    scratch_children,
+    region_iterative,
 )
 from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_stack
 
@@ -166,7 +164,7 @@ def explore(
     tree = SolutionTree(cp.Dbar, cp.n, cp.m, cp.N, variant, radius_threshold)
     root_active = ActiveSet(cp.Dbar)
     try:
-        root = region_from_scratch(cp, root_active)
+        root = region_from_scratch(cp, root_active, [-1]).result(0)
     except RegionRejected as exc:
         raise InfeasibleProblem(f"root region rejected: {exc.reason}") from exc
     if is_empty(Polytope(root.region.L, root.region.l), radius_threshold):
@@ -222,9 +220,9 @@ def _solve_children(cp, parent: RegionResult, fresh: list, variant: str, radius_
     test; only accepted children are copied out of the stack."""
     added = [i for _, i in fresh]
     if variant == "baseline":
-        stack = scratch_children(cp, parent.active, added)
+        stack = region_from_scratch(cp, parent.active, added)
     else:
-        stack = region_children(cp, parent, added, eps)
+        stack = region_iterative(cp, parent, added, eps)
     outcomes = ["numerical"] * len(fresh)
     if stack.kept.size:
         for position, empty in zip(stack.kept, is_empty_stack(stack.L, stack.l, radius_threshold)):

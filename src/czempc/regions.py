@@ -261,21 +261,24 @@ def _reject(reasons: list, live: np.ndarray, bad: np.ndarray, reason: str) -> np
     return ~bad
 
 
-def _singular(K: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack ``K``: whether ``np.linalg.inv`` fails on it."""
-    out = np.zeros(len(K), dtype=bool)
-    for b, k in enumerate(K):
-        try:
-            np.linalg.inv(k)
-        except np.linalg.LinAlgError:
-            out[b] = True
-    return out
+def _invert(K: np.ndarray) -> tuple:
+    """Inverses of the stack ``K`` (B, k, k) and the mask of its singular
+    matrices, whose inverses are left as zeros."""
+    try:
+        return np.linalg.inv(K), np.zeros(len(K), dtype=bool)
+    except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
+        if len(K) == 1:
+            return np.zeros_like(K), np.ones(1, dtype=bool)
+        parts = [_invert(k[None]) for k in K]
+        return np.concatenate([inv for inv, _ in parts]), np.concatenate([bad for _, bad in parts])
 
 
-def scratch_children(cp: CondensedProblem, base: ActiveSet, added) -> RegionStack:
+def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionStack:
     """Regions ``base + {i}`` for every ``i`` in ``added`` (all inactive in
     ``base``), or ``base`` alone for ``added = [-1]``, each by a full KKT
-    solve, computed as one stack.
+    solve, computed as one stack. ``added`` holds either inactive indices
+    only or the single -1; a single region is ``.result(0)`` of a stack of
+    one.
 
     One SVD ``T = U diag(s) V'`` of each ``T = [F_D' Y_A']`` gives the rank
     test (``singular`` unless ``s_min > SVD_RTOL * s_max``), the orthonormal
@@ -285,8 +288,6 @@ def scratch_children(cp: CondensedProblem, base: ActiveSet, added) -> RegionStac
     ``singular`` when ``K = [Z'GQG; F_D; Y_A]`` cannot be inverted.
     """
     idx = np.asarray(added, dtype=int)
-    if (idx < 0).any() and (idx >= 0).any():
-        raise ValueError("added mixes new indices with -1")
     act = np.broadcast_to(np.array(base.indices, dtype=int), (idx.size, base.cardinality))
     if (idx >= 0).any():
         act = np.sort(np.column_stack([act, idx]), axis=1)
@@ -295,7 +296,9 @@ def scratch_children(cp: CondensedProblem, base: ActiveSet, added) -> RegionStac
     live = np.arange(idx.size)  # candidate positions still in the stack
     if r > cp.Dbar:  # more constraints than lifted coordinates
         live = live[_reject(reasons, live, np.ones(idx.size, dtype=bool), "singular")]
-        act, r = act[:0, : cp.Dbar - nc], cp.Dbar  # keeps the empty stack's shapes valid
+        # an empty stack with n_A = Dbar - nbar_c, so that every shape below is
+        # valid and the region rows still number 2 Dbar
+        act, r = act[:0, : cp.Dbar - nc], cp.Dbar
     Y_A = cp.Y[act]  # (B, n_A, Dbar)
     T = np.concatenate([np.broadcast_to(cp.F_D.T, (live.size, cp.Dbar, nc)), Y_A.swapaxes(1, 2)], axis=2)
     U, s, Vt = np.linalg.svd(T, full_matrices=True)
@@ -307,26 +310,20 @@ def scratch_children(cp: CondensedProblem, base: ActiveSet, added) -> RegionStac
     ok = _reject(reasons, live, ~_positive_definite(ZG @ Z), "second_order")
     live, Y_A, Z, Tpinv, ZG = live[ok], Y_A[ok], Z[ok], Tpinv[ok], ZG[ok]
     K = np.concatenate([ZG, np.broadcast_to(cp.F_D, (live.size, nc, cp.Dbar)), Y_A], axis=1)
-    try:
-        Kinv = np.linalg.inv(K)
-    except np.linalg.LinAlgError:  # some matrix is singular: find which, one by one
-        ok = _reject(reasons, live, _singular(K), "singular")
-        live, Z, Tpinv, K = live[ok], Z[ok], Tpinv[ok], K[ok]
-        Kinv = np.linalg.inv(K)
+    Kinv, bad = _invert(K)
+    if bad.any():
+        ok = _reject(reasons, live, bad, "singular")
+        live, Z, Tpinv, Kinv = live[ok], Z[ok], Tpinv[ok], Kinv[ok]
     inactive = np.ones((live.size, 2 * cp.Dbar), dtype=bool)
     inactive[np.arange(live.size)[:, None], act[live]] = False
     inactive = np.nonzero(inactive)[1].reshape(live.size, 2 * cp.Dbar - act.shape[1])
     return _finish(cp, base, idx, reasons, live, Z, Kinv, Tpinv, inactive)
 
 
-def region_from_scratch(cp: CondensedProblem, active: ActiveSet) -> RegionResult:
-    """Full KKT solve for ``active``: :func:`scratch_children` on a stack of one."""
-    return scratch_children(cp, active, [-1]).result(0)
-
-
-def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
+def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
     """Child regions ``parent.active + {i}`` for every ``i`` in ``new_indices``
-    (all inactive in the parent), by low-rank updates solved as one stack.
+    (all inactive in the parent; ``ValueError`` otherwise), by low-rank
+    updates solved as one stack.
 
     For each child the null basis shrinks by one column (sparse kernel of
     the row ``z = y_i Zp`` with pivot ``j = argmax |z|``, so
@@ -337,6 +334,8 @@ def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps
     when ``z`` vanishes or the 2x2 update factor degenerates.
     """
     active = parent.active
+    if any(active.contains(int(i)) for i in new_indices):
+        raise ValueError("index already active")
     idx = np.asarray(new_indices, dtype=int)
     Zp, kp, nc = parent.cache.Z, parent.cache.Z.shape[1], cp.nbar_c
     reasons = [None] * idx.size
@@ -376,21 +375,6 @@ def region_children(cp: CondensedProblem, parent: RegionResult, new_indices, eps
     r = np.arange(inactive.size - 1)
     drop = np.searchsorted(inactive, idx[live])[:, None]
     return _finish(cp, active, idx, reasons, live, Zc, Kinv, Tpinv, inactive[r + (r >= drop)])
-
-
-def region_iterative(
-    cp: CondensedProblem,
-    parent: RegionResult,
-    new_index: int,
-    eps: float = 1e-10,
-) -> RegionResult:
-    """Child region for ``parent.active + {new_index}``: :func:`region_children`
-    on a stack of one. Rejects with ``second_order`` when the reduced Hessian
-    fails its Cholesky test and with ``singular`` when the update degenerates.
-    """
-    if parent.active.contains(new_index):
-        raise ValueError("index already active")
-    return region_children(cp, parent, [new_index], eps).result(0)
 
 
 def reduced_active_set(cp: CondensedProblem, law: AffineLaw, tol: float = ARED_TOL) -> tuple:

@@ -163,7 +163,7 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
             float(np.linalg.norm(cache.Kinv - Kinv_ref) / np.linalg.norm(Kinv_ref)),
         )
         # null-space span against an independent from-scratch SVD
-        scratch = region_from_scratch(cp, nd.active)
+        scratch = region_from_scratch(cp, nd.active, [-1]).result(0)
         if Z.shape[1]:
             worst_angle = max(worst_angle, float(np.max(principal_angles(Z, scratch.cache.Z))))
         # Moore-Penrose conditions of the updated pseudoinverse

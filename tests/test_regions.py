@@ -9,13 +9,12 @@ from czempc.regions import (
     ActiveSet,
     RegionRejected,
     _finish,
+    _invert,
     _positive_definite,
     kkt_residuals,
     reduced_active_set,
-    region_children,
     region_from_scratch,
     region_iterative,
-    scratch_children,
 )
 from czempc.sets import Polytope, Zonotope, chebyshev
 
@@ -43,7 +42,7 @@ def test_active_set_with_index_and_inactive():
 
 def test_root_region_is_unconstrained_law(dint_cp):
     cp = dint_cp
-    res = region_from_scratch(cp, ActiveSet(cp.Dbar))
+    res = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     # with no active facets the law is the unconstrained mpQP minimizer
     Ku_ref = -np.linalg.solve(cp.Qtilde, cp.Htilde.T)
     np.testing.assert_allclose(res.law.Ku, Ku_ref, atol=1e-9)
@@ -53,16 +52,16 @@ def test_root_region_is_unconstrained_law(dint_cp):
 
 def test_iterative_matches_scratch_one_level(dint_cp):
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar))
+    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     checked = 0
     for i in range(2 * cp.Dbar):
         try:
-            it = region_iterative(cp, root, i)
+            it = region_iterative(cp, root, [i]).result(0)
         except RegionRejected:
             with pytest.raises(RegionRejected):
-                region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)))
+                region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)), [-1]).result(0)
             continue
-        sc = region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)))
+        sc = region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)), [-1]).result(0)
         np.testing.assert_allclose(it.law.Ku, sc.law.Ku, atol=1e-9)
         np.testing.assert_allclose(it.law.ku, sc.law.ku, atol=1e-9)
         np.testing.assert_allclose(it.region.L, sc.region.L, atol=1e-9)
@@ -87,11 +86,11 @@ def test_children_stack_matches_scratch(case, paper_doc):
         if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
             continue
         candidates = enumerate_children(nd.active)
-        stack = region_children(cp, nd.result, [i for _, i in candidates])
+        stack = region_iterative(cp, nd.result, [i for _, i in candidates])
         assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
         for position, (child, _) in enumerate(candidates):
             try:
-                sc = region_from_scratch(cp, child)
+                sc = region_from_scratch(cp, child, [-1]).result(0)
             except RegionRejected:
                 with pytest.raises(RegionRejected):
                     stack.result(position)
@@ -157,9 +156,9 @@ def test_scratch_stack_matches_reference(case, paper_doc):
     reasons = []
     mixed = 0
     for nd in explore(cp, variant="baseline").nodes:
-        assert _check_against_reference(cp, scratch_children(cp, nd.active, [-1]), 0, nd.active) is None
+        assert _check_against_reference(cp, region_from_scratch(cp, nd.active, [-1]), 0, nd.active) is None
         children = enumerate_children(nd.active)
-        stack = scratch_children(cp, nd.active, [i for _, i in children])
+        stack = region_from_scratch(cp, nd.active, [i for _, i in children])
         found = [_check_against_reference(cp, stack, p, child) for p, (child, _) in enumerate(children)]
         assert stack.kept.tolist() == [p for p, reason in enumerate(found) if reason is None]
         reasons += found
@@ -168,37 +167,58 @@ def test_scratch_stack_matches_reference(case, paper_doc):
     assert mixed > 0  # some stack keeps candidates next to singular ones
 
 
-def test_scratch_children_rejects_mixed_added(dint_cp):
-    with pytest.raises(ValueError):
-        scratch_children(dint_cp, ActiveSet(dint_cp.Dbar), [0, -1])
+def test_scratch_past_full_cardinality_is_singular(dint_cp):
+    # a base with Dbar - nbar_c active facets leaves no room for another:
+    # every candidate has more constraints than lifted coordinates
+    cp = dint_cp
+    base = ActiveSet(cp.Dbar, tuple(range(cp.Dbar - cp.nbar_c)))
+    added = list(range(cp.Dbar - cp.nbar_c, cp.Dbar))
+    stack = region_from_scratch(cp, base, added)
+    assert stack.reasons == ["singular"] * len(added)
+    assert stack.kept.size == 0
+    assert stack.L.shape == (0, 2 * cp.Dbar, cp.n)
+    for position in range(len(added)):
+        with pytest.raises(RegionRejected):
+            stack.result(position)
+
+
+def test_invert_masks_singular_items(rng):
+    K = rng.normal(size=(4, 5, 5))
+    K[1, :, 2] = 0.0
+    K[3] = 0.0
+    Kinv, bad = _invert(K)
+    assert bad.tolist() == [False, True, False, True]
+    for b in (0, 2):
+        np.testing.assert_allclose(Kinv[b] @ K[b], np.eye(5), atol=1e-10)
+    assert not Kinv[bad].any()
 
 
 def test_iterative_rejects_already_active(dint_cp):
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar))
+    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     child = None
     for i in range(2 * cp.Dbar):
         try:
-            child = region_iterative(cp, root, i)
+            child = region_iterative(cp, root, [i]).result(0)
             break
         except RegionRejected:
             continue
     assert child is not None
     with pytest.raises(ValueError):
-        region_iterative(cp, child, child.active.indices[0])
+        region_iterative(cp, child, [child.active.indices[0]]).result(0)
 
 
 def test_parameter_pinned_facets_are_singular(dint_cp):
     """Facets of stage-0 state coordinates lie in the span of the equalities."""
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar))
+    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     # lifted layout: N*gU input coords, then N*gX state coords (stage 0 first)
     first_state_coord = cp.N * cp.m
     with pytest.raises(RegionRejected) as exc:
-        region_iterative(cp, root, first_state_coord)
+        region_iterative(cp, root, [first_state_coord]).result(0)
     assert exc.value.reason == "singular"
     with pytest.raises(RegionRejected):
-        region_from_scratch(cp, ActiveSet(cp.Dbar, (first_state_coord,)))
+        region_from_scratch(cp, ActiveSet(cp.Dbar, (first_state_coord,)), [-1]).result(0)
 
 
 def test_too_deep_active_set_rejected(dint_cp):
@@ -206,7 +226,7 @@ def test_too_deep_active_set_rejected(dint_cp):
     free = cp.Dbar - cp.nbar_c
     idx = tuple(range(free + 1))
     with pytest.raises(RegionRejected):
-        region_from_scratch(cp, ActiveSet(cp.Dbar, idx))
+        region_from_scratch(cp, ActiveSet(cp.Dbar, idx), [-1]).result(0)
 
 
 def test_second_order_rejection_redundant_generators():
@@ -219,7 +239,7 @@ def test_second_order_rejection_redundant_generators():
     )
     cp = build_condensed_qp(p)
     with pytest.raises(RegionRejected) as exc:
-        region_from_scratch(cp, ActiveSet(cp.Dbar))
+        region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     assert exc.value.reason == "second_order"
 
 
@@ -248,7 +268,7 @@ def test_kkt_residuals_interior(dint_tree, dint_cp, rng):
 
 
 def test_reduced_active_set_root_empty(dint_cp):
-    root = region_from_scratch(dint_cp, ActiveSet(dint_cp.Dbar))
+    root = region_from_scratch(dint_cp, ActiveSet(dint_cp.Dbar), [-1]).result(0)
     assert reduced_active_set(dint_cp, root.law) == ()
 
 
