@@ -13,8 +13,10 @@ Problem files are JSON with row-major nested arrays::
 
 Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
 on a command-line usage error, when condensing fails, e.g. a terminal
-recurrence that does not converge, and on a NaN, infinite or negative radius
-threshold, a NaN or negative eps, or a negative ``--steps``).
+recurrence that does not converge, on a NaN or infinite problem entry, a gain
+``K`` that is not m x n or a horizon that is not an integer, and on a NaN,
+infinite or negative radius threshold, a NaN or negative eps, or a negative
+``--steps``).
 """
 
 from __future__ import annotations
@@ -57,10 +59,18 @@ class ProblemFileError(ValueError):
     pass
 
 
+def _finite(value, name) -> np.ndarray:
+    """``value`` as a float array; a NaN or infinite entry is a file error."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ProblemFileError(f"{name} has a NaN or infinite entry")
+    return arr
+
+
 def _matrix(doc, key):
     if key not in doc:
         raise ProblemFileError(f"missing key {key!r}")
-    return np.asarray(doc[key], dtype=float)
+    return _finite(doc[key], key)
 
 
 def _zonotope(doc, key) -> Zonotope:
@@ -68,25 +78,34 @@ def _zonotope(doc, key) -> Zonotope:
     if not isinstance(sub, dict):
         raise ProblemFileError(f"missing set {key!r}")
     try:
-        return Zonotope(np.asarray(sub["c"], dtype=float), np.asarray(sub["G"], dtype=float))
+        return Zonotope(_finite(sub["c"], f"{key}.c"), _finite(sub["G"], f"{key}.G"))
     except (KeyError, DimensionMismatch) as exc:
         raise ProblemFileError(f"bad zonotope {key!r}: {exc}") from exc
 
 
+def _horizon(N) -> int:
+    """An integer, or a float with an integral value; a boolean is neither."""
+    if isinstance(N, bool) or not (isinstance(N, int) or isinstance(N, float) and N.is_integer()):
+        raise ProblemFileError(f"horizon N must be an integer, got {N!r}")
+    return int(N)
+
+
 def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
-    """Build an MpcProblem plus the option dict from a parsed JSON document."""
+    """Build an MpcProblem plus the option dict from a parsed JSON document.
+    Every array must be finite and a matrix gain ``K`` must be m x n."""
     try:
         A = _matrix(doc, "A")
         B = np.atleast_2d(_matrix(doc, "B"))
         Q = _matrix(doc, "Q")
         R = np.atleast_2d(_matrix(doc, "R"))
         S = _matrix(doc, "S")
-        N = int(n_override if n_override is not None else doc.get("N", 1))
+        N = _horizon(n_override if n_override is not None else doc.get("N", 1))
         X = _zonotope(doc, "X")
         U = _zonotope(doc, "U")
         t_doc = doc.get("T")
         if not isinstance(t_doc, dict):
             raise ProblemFileError("missing terminal set 'T'")
+        gain = "lqr"
         if "recurrence" in t_doc:
             rec = t_doc["recurrence"]
             gain = rec.get("K", "lqr")
@@ -94,15 +113,15 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
                 if gain != "lqr":
                     raise ProblemFileError(f"unknown gain directive {gain!r}; use \"lqr\" or a matrix")
             else:
-                gain = np.asarray(gain, dtype=float)
+                gain = np.atleast_2d(_finite(gain, "K"))
             T = TerminalRecurrence(gain, int(rec.get("maxIter", 50)), float(rec.get("tol", 1e-8)))
         else:
-            F = np.asarray(t_doc.get("F", []), dtype=float)
-            theta = np.asarray(t_doc.get("theta", []), dtype=float)
-            T = ConstrainedZonotope(
-                np.asarray(t_doc["c"], dtype=float), np.asarray(t_doc["G"], dtype=float), F, theta
-            )
+            F = _finite(t_doc.get("F", []), "T.F")
+            theta = _finite(t_doc.get("theta", []), "T.theta")
+            T = ConstrainedZonotope(_finite(t_doc["c"], "T.c"), _finite(t_doc["G"], "T.G"), F, theta)
         problem = MpcProblem(A, B, Q, R, S, N, X, U, T)
+        if not isinstance(gain, str) and gain.shape != (problem.m, problem.n):
+            raise ProblemFileError(f"gain K has shape {gain.shape}, expected {(problem.m, problem.n)}")
     except ProblemFileError:
         raise
     except (KeyError, ValueError, DimensionMismatch) as exc:

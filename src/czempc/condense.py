@@ -214,12 +214,15 @@ def build_terminal_set(A_d, B_d, K, X: Zonotope, U: Zonotope, max_iter: int = 50
     ``Omega_0 = {x in X : K x in U}`` couples the state box with the input box
     through the gain. Iteration stops once the support values along the 2n
     axis directions settle within ``tol``; raises :class:`NotConverged` when
-    they have not settled after ``max_iter`` steps.
+    they have not settled after ``max_iter`` steps and
+    :class:`DimensionMismatch` unless ``K`` is m x n.
     """
     A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = A_d.shape[0]
+    if K.shape != (B_d.shape[1], n):
+        raise DimensionMismatch(f"gain K has shape {K.shape}, expected {(B_d.shape[1], n)}")
     M = A_d + B_d @ K
     if abs(np.linalg.det(M)) < 1e-12:
         raise NotInvertible("A_d + B_d K is singular")

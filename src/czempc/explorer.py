@@ -10,7 +10,7 @@ rooted tree whose edges are labeled by the activated constraint index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from czempc.regions import (
     ActiveSet,
     AffineLaw,
     CriticalRegion,
-    DualSolution,
-    KktCache,
     RegionRejected,
     RegionResult,
     reduced_active_set,
@@ -40,33 +38,15 @@ class ResourceCap(RuntimeError):
     """Node cap exceeded during exploration."""
 
 
-@dataclass
-class RegionNode:
+@dataclass(frozen=True)
+class RegionNode(RegionResult):
+    """An accepted region and its place in the tree: ``parent`` is the id of
+    the node it was reached from by activating facet ``edge_label``."""
+
     node_id: int
-    result: RegionResult
     ared: tuple | None
     parent: int | None
     edge_label: int | None
-
-    @property
-    def active(self) -> ActiveSet:
-        return self.result.active
-
-    @property
-    def law(self) -> AffineLaw:
-        return self.result.law
-
-    @property
-    def region(self) -> CriticalRegion:
-        return self.result.region
-
-    @property
-    def duals(self) -> DualSolution:
-        return self.result.duals
-
-    @property
-    def cache(self) -> KktCache:
-        return self.result.cache
 
 
 @dataclass
@@ -76,15 +56,6 @@ class ExplorationStats:
     empty: int = 0
     dedup: int = 0
     examined: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "discovered": self.discovered,
-            "numerical": self.numerical,
-            "empty": self.empty,
-            "dedup": self.dedup,
-            "examined": self.examined,
-        }
 
 
 @dataclass
@@ -107,26 +78,17 @@ class SolutionTree:
         return [(nd.parent, nd.node_id, nd.edge_label) for nd in self.nodes if nd.parent is not None]
 
 
-def swap_indices(active: ActiveSet) -> list:
-    """Coordinate pairs with neither facet active: candidates for activation."""
-    out = []
-    for i in range(active.dbar):
-        if not active.contains(i) and not active.contains(i + active.dbar):
-            out.append(i)
-    return out
+def candidate_indices(active: ActiveSet) -> list:
+    """Facets a child of ``active`` may activate, in BFS order: for each pair
+    ``(i, i + Dbar)`` with neither facet active, the lower facet
+    ``-xi_i <= 1`` (index ``i + Dbar``) first, then the upper ``xi_i <= 1``."""
+    d = active.dbar
+    taken = {i % d for i in active.indices}
+    return [j for i in range(d) if i not in taken for j in (i + d, i)]
 
 
-def enumerate_children(active: ActiveSet) -> list:
-    """Candidate (child active set, activated index) pairs in deterministic order.
-
-    For each free pair ``(i, i + Dbar)`` the lower facet ``-xi_i <= 1`` is
-    proposed first, then the upper facet ``xi_i <= 1``.
-    """
-    out = []
-    for i in swap_indices(active):
-        out.append((active.with_index(i + active.dbar), i + active.dbar))
-        out.append((active.with_index(i), i))
-    return out
+def _node(res: RegionResult, node_id: int, ared, parent, edge_label) -> RegionNode:
+    return RegionNode(res.active, res.law, res.region, res.duals, res.cache, node_id, ared, parent, edge_label)
 
 
 def check_thresholds(radius_threshold: float, eps: float) -> None:
@@ -145,89 +107,60 @@ def explore(
     radius_threshold: float = DEFAULT_RADIUS_THRESHOLD,
     eps: float = 1e-10,
     node_cap: int = 1_000_000,
-    depth_cap: int | None = None,
 ) -> SolutionTree:
     """BFS over candidate active sets; returns the solution tree.
 
     ``variant`` selects how child regions are computed: 'baseline' from
     scratch, 'iter' by low-rank updates of the parent's factorizations.
-    Both accept the same candidates. Raises ``ValueError`` on an unknown
-    variant, a NaN, infinite or negative ``radius_threshold``, or a NaN or
-    negative ``eps``.
+    Either way each parent's fresh candidates are solved as one stack and
+    tested for emptiness as one stack, and both variants accept the same
+    candidates. Raises ``ValueError`` on an unknown variant, a NaN,
+    infinite or negative ``radius_threshold``, or a NaN or negative ``eps``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     check_thresholds(radius_threshold, eps)
-    if depth_cap is None:
-        depth_cap = cp.Dbar - cp.nbar_c
 
     tree = SolutionTree(cp.Dbar, cp.n, cp.m, cp.N, variant, radius_threshold)
-    root_active = ActiveSet(cp.Dbar)
     try:
-        root = region_from_scratch(cp, root_active, [-1]).result(0)
+        root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
     except RegionRejected as exc:
         raise InfeasibleProblem(f"root region rejected: {exc.reason}") from exc
     if is_empty(Polytope(root.region.L, root.region.l), radius_threshold):
         raise InfeasibleProblem("root critical region is empty")
-    root_ared = reduced_active_set(cp, root.law)
-    tree.nodes.append(RegionNode(0, root, root_ared, None, None))
-    tree.index[root_active.bits] = 0
+    tree.nodes.append(_node(root, 0, reduced_active_set(cp, root.law), None, None))
+    tree.index[root.active.bits] = 0
 
-    seen = {root_active.bits}
-    queue = [0]
-    head = 0
+    seen = set(tree.index)  # bits of every candidate examined so far, accepted or not
+    depth = cp.Dbar - cp.nbar_c  # Z has no columns here: every child would be singular
     stats = tree.stats
-    while head < len(queue):
-        node = tree.nodes[queue[head]]
-        head += 1
-        if node.active.cardinality >= depth_cap:
+    for node in tree.nodes:  # grows while iterated, so nodes are visited in BFS order
+        if node.active.cardinality >= depth:
             continue
-        fresh = []
-        for child_active, new_index in enumerate_children(node.active):
-            stats.examined += 1
-            bits = child_active.bits
-            if bits in seen:
-                stats.dedup += 1
-                continue
-            seen.add(bits)
-            fresh.append((child_active, new_index))
+        bits = node.active.bits
+        candidates = candidate_indices(node.active)
+        fresh = [i for i in candidates if bits | 1 << i not in seen]
+        seen.update(bits | 1 << i for i in fresh)
+        stats.examined += len(candidates)
+        stats.dedup += len(candidates) - len(fresh)
         if not fresh:
             continue
-        outcomes = _solve_children(cp, node.result, fresh, variant, radius_threshold, eps)
-        for (_, new_index), res in zip(fresh, outcomes):
-            if res == "numerical":
-                stats.numerical += 1
-                continue
-            if res == "empty":
-                stats.empty += 1
-                continue
+        if variant == "baseline":
+            stack = region_from_scratch(cp, node.active, fresh)
+        else:
+            stack = region_iterative(cp, node, fresh, eps)
+        stats.numerical += len(fresh) - stack.kept.size
+        empty = is_empty_stack(stack.L, stack.l, radius_threshold)
+        stats.empty += int(empty.sum())
+        for position in stack.kept[~empty]:
             stats.discovered += 1
             if len(tree.nodes) >= node_cap:
                 raise ResourceCap(f"node cap {node_cap} exceeded")
-            node_id = len(tree.nodes)
-            ared = reduced_active_set(cp, res.law)
-            tree.nodes.append(RegionNode(node_id, res, ared, node.node_id, new_index))
-            tree.index[res.active.bits] = node_id
-            queue.append(node_id)
+            res = stack.result(position)
+            tree.index[res.active.bits] = len(tree.nodes)
+            tree.nodes.append(_node(res, len(tree.nodes), reduced_active_set(cp, res.law), node.node_id, fresh[position]))
+        del stack  # so that two parents' stacks are never held at once
     return tree
-
-
-def _solve_children(cp, parent: RegionResult, fresh: list, variant: str, radius_threshold: float, eps: float) -> list:
-    """One outcome per fresh (child active set, new index) pair, in order: the
-    accepted :class:`RegionResult`, or the rejection ``"numerical"`` or
-    ``"empty"``. One stacked KKT solve ('iter': low-rank updates of the
-    parent; 'baseline': from scratch) is followed by one stacked emptiness
-    test; only accepted children are copied out of the stack."""
-    added = [i for _, i in fresh]
-    if variant == "baseline":
-        stack = region_from_scratch(cp, parent.active, added)
-    else:
-        stack = region_iterative(cp, parent, added, eps)
-    outcomes = ["numerical"] * len(fresh)
-    if stack.kept.size:
-        for position, empty in zip(stack.kept, is_empty_stack(stack.L, stack.l, radius_threshold)):
-            outcomes[position] = "empty" if empty else stack.result(position)
-    return outcomes
 
 
 def export_dot(tree: SolutionTree) -> str:
@@ -258,7 +191,7 @@ def export_json(tree: SolutionTree) -> str:
         "N": tree.N,
         "variant": tree.variant,
         "radius_threshold": tree.radius_threshold,
-        "stats": tree.stats.as_dict(),
+        "stats": asdict(tree.stats),
         "nodes": [
             {
                 "id": nd.node_id,
@@ -281,7 +214,7 @@ def import_json(text: str) -> SolutionTree:
     """Rebuild a tree from :func:`export_json` output (laws/regions only;
     KKT caches and duals are not serialized). A malformed file raises
     ``ValueError``, as does a node whose ``id`` is not its position or whose
-    ``L``, ``l``, ``Ku`` or ``ku`` has the wrong shape."""
+    ``L``, ``l``, ``Ku`` or ``ku`` has the wrong shape or a NaN or inf."""
     data = json.loads(text)
     if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
@@ -311,12 +244,15 @@ def import_json(text: str) -> SolutionTree:
                         f"malformed tree file: node {position} has {key} of shape {arrays[key].shape}, expected {shape}"
                     )
             active = ActiveSet(tree.Dbar, tuple(nd["active"]))
-            law = AffineLaw(arrays["Ku"], arrays["ku"])
-            region = CriticalRegion(arrays["L"], arrays["l"])
-            result = RegionResult(active, law, region, duals=None, cache=None)
             ared = tuple(nd["ared"]) if nd["ared"] is not None else None
-            tree.nodes.append(RegionNode(position, result, ared, nd["parent"], nd["edge_label"]))
+            tree.nodes.append(RegionNode(
+                active, AffineLaw(arrays["Ku"], arrays["ku"]), CriticalRegion(arrays["L"], arrays["l"]),
+                duals=None, cache=None, node_id=position, ared=ared, parent=nd["parent"], edge_label=nd["edge_label"],
+            ))
             tree.index[active.bits] = position
+        values = [a.ravel() for nd in tree.nodes for a in (nd.law.Ku, nd.law.ku, nd.region.L, nd.region.l)]
+        if values and not np.isfinite(np.concatenate(values)).all():
+            raise ValueError("malformed tree file: a law or region has a NaN or infinite entry")
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed tree file: {exc!r}") from exc
     return tree

@@ -152,7 +152,7 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
         if nd.parent is None:
             continue
         transitions += 1
-        cache = nd.result.cache
+        cache = nd.cache
         # reference inverse recomputed from scratch in the chain's own null basis
         Z = cache.Z
         Y_A = cp.Y[list(nd.active.indices)]
@@ -198,11 +198,11 @@ def test_criterion_5_kkt_residuals(paper_cp, paper_tree, rng):
                 d = rng.normal(size=cp.n)
                 points.append(cheb.center + 0.5 * cheb.radius * d / np.linalg.norm(d))
             for x0 in points:
-                res = kkt_residuals(cp, nd.result, x0)
+                res = kkt_residuals(cp, nd, x0)
                 worst_res = max(
                     worst_res, res["stationarity"], res["primal_eq"], res["complementarity"]
                 )
-            mu = nd.result.duals.mu_active(cheb.center)
+            mu = nd.duals.mu_active(cheb.center)
             if mu.size:
                 worst_mu = min(worst_mu, float(mu.min()))
     ok = worst_res <= 1e-7 and (worst_mu >= -1e-8 or not np.isfinite(worst_mu))

@@ -7,9 +7,10 @@ import pytest
 
 from czempc import cli
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main, parse_problem
-from czempc.condense import MpcProblem, TerminalRecurrence
+from czempc.condense import MpcProblem, TerminalRecurrence, build_terminal_set
 from czempc.explorer import explore, import_json
 from czempc.runtime import evaluate
+from czempc.sets import DimensionMismatch
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DINT_PROBLEM = ROOT / "problems" / "doubleint.json"
@@ -260,8 +261,9 @@ def _write_tree(tmp_path, edit):
     [
         lambda d: d["stats"].update(pruned=1),  # a count this format does not have
         lambda d: d["nodes"][1].update(active=[99]),  # beyond the 2 Dbar facets
+        lambda d: d["nodes"][0]["L"][0].__setitem__(0, float("nan")),  # every query would read infeasible
     ],
-    ids=["unknown-stats-key", "active-index-out-of-range"],
+    ids=["unknown-stats-key", "active-index-out-of-range", "root-L-nan"],
 )
 def test_eval_malformed_tree_content(tmp_path, capsys, edit):
     tree = _write_tree(tmp_path, edit)
@@ -308,6 +310,64 @@ def test_missing_key(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(bad), str(tmp_path / "out.json")])
     assert exc.value.code == EXIT_PARSE
+
+
+def _solve_edited_dint(tmp_path, capsys, edit):
+    """Exit code and stderr lines of ``solve`` on the double integrator after ``edit``."""
+    doc = json.loads(DINT_PROBLEM.read_text())
+    edit(doc)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()
+    return exc.value.code, capsys.readouterr().err.strip().splitlines()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["A"][0].__setitem__(1, NAN),
+        lambda d: d["B"][1].__setitem__(0, INF),
+        lambda d: d["S"][0].__setitem__(0, -INF),
+        lambda d: d["X"]["G"][0].__setitem__(0, INF),
+        lambda d: d["X"]["c"].__setitem__(0, NAN),
+        lambda d: d["U"].update(c=[NAN]),
+        lambda d: d["T"]["G"][1].__setitem__(1, NAN),
+        lambda d: d["T"].update(F=[[1.0, 1.0]], theta=[NAN]),
+        lambda d: d.update(T={"recurrence": {"K": [[NAN, 1.0]]}}),
+    ],
+    ids=["A-nan", "B-inf", "S-minus-inf", "X.G-inf", "X.c-nan", "U.c-nan", "T.G-nan", "T.theta-nan", "K-nan"],
+)
+def test_non_finite_problem_data_exits_3(tmp_path, capsys, edit):
+    # a NaN in a set centre once gave a 39-region tree and exit 0; elsewhere
+    # it ended in a LinAlgError or ValueError traceback
+    code, err = _solve_edited_dint(tmp_path, capsys, edit)
+    assert code == EXIT_PARSE
+    assert len(err) == 1 and "NaN or infinite entry" in err[0]
+
+
+def test_gain_of_wrong_shape_exits_3(tmp_path, capsys, dint_doc):
+    # m = 1, n = 2: a 1 x 3 gain once ended in a broadcast traceback
+    code, err = _solve_edited_dint(tmp_path, capsys, lambda d: d.update(T={"recurrence": {"K": [[1, 2, 3]]}}))
+    assert code == EXIT_PARSE
+    assert len(err) == 1 and "gain K has shape (1, 3), expected (1, 2)" in err[0]
+    problem, _ = parse_problem(dint_doc)
+    with pytest.raises(DimensionMismatch):
+        build_terminal_set(problem.A_d, problem.B_d, np.ones((1, 3)), problem.X, problem.U)
+
+
+@pytest.mark.parametrize("N", [2.7, True, "2", None], ids=["fraction", "boolean", "string", "null"])
+def test_non_integral_horizon_exits_3(tmp_path, capsys, dint_doc, N):
+    # 2.7 was truncated to 2 and true read as 1
+    code, err = _solve_edited_dint(tmp_path, capsys, lambda d: d.update(N=N))
+    assert code == EXIT_PARSE
+    assert len(err) == 1 and "horizon N must be an integer" in err[0]
+    problem, _ = parse_problem(dict(dint_doc, N=2.0))
+    assert problem.N == 2 and isinstance(problem.N, int)
 
 
 def test_unknown_variant_in_problem_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -10,29 +11,38 @@ from czempc.explorer import (
     InfeasibleProblem,
     ResourceCap,
     VARIANTS,
-    enumerate_children,
+    candidate_indices,
     explore,
     export_dot,
     export_json,
     import_json,
-    swap_indices,
 )
 from czempc.regions import ActiveSet, reduced_active_set
 from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev
 
 
-def test_swap_indices():
-    a = ActiveSet(4, (1, 6))  # pair 1 taken by lower index, pair 2 by upper facet
-    assert swap_indices(a) == [0, 3]
-
-
-def test_enumerate_children_order():
-    a = ActiveSet(3, (2,))
-    children = enumerate_children(a)
+def test_candidate_indices_order():
+    # pair 1 taken by its upper facet 1, pair 2 by its lower facet 2 + 4: only
+    # pairs 0 and 3 are free
+    assert candidate_indices(ActiveSet(4, (1, 6))) == [4, 0, 7, 3]
     # free pairs 0 and 1; lower facet (i + Dbar) proposed before the upper one
-    assert [c[1] for c in children] == [3, 0, 4, 1]
-    assert all(child.contains(label) for child, label in children)
+    assert candidate_indices(ActiveSet(3, (2,))) == [3, 0, 4, 1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_node_ids_follow_bfs_order(paper_cp, paper_tree, variant):
+    # a node's id grows with its parent's id, then with the position of its
+    # edge label among the parent's candidates; parents precede children
+    tree = paper_tree(2, variant)
+    assert tree.num_regions == 31
+    keys = []
+    for nd in tree.nodes[1:]:
+        assert nd.parent < nd.node_id
+        parent = tree.nodes[nd.parent]
+        assert nd.active == parent.active.with_index(nd.edge_label)
+        keys.append((nd.parent, candidate_indices(parent.active).index(nd.edge_label)))
+    assert keys == sorted(set(keys))
 
 
 def test_double_integrator_tree(dint_tree, dint_cp):
@@ -98,12 +108,6 @@ def test_unknown_variant(dint_cp):
 def test_node_cap(dint_cp):
     with pytest.raises(ResourceCap):
         explore(dint_cp, node_cap=3)
-
-
-def test_depth_cap_limits_tree(dint_cp):
-    shallow = explore(dint_cp, depth_cap=1)
-    assert max(nd.active.cardinality for nd in shallow.nodes) <= 1
-    assert shallow.num_regions < 9
 
 
 def test_infeasible_root():
@@ -230,7 +234,7 @@ def test_json_roundtrip_exact(dint_tree):
     back = import_json(text)
     assert back.num_regions == dint_tree.num_regions
     assert back.variant == dint_tree.variant
-    assert back.stats.as_dict() == dint_tree.stats.as_dict()
+    assert dataclasses.asdict(back.stats) == dataclasses.asdict(dint_tree.stats)
     for a, b in zip(dint_tree.nodes, back.nodes):
         assert a.active.indices == b.active.indices
         assert a.ared == b.ared
@@ -261,6 +265,15 @@ def test_import_rejects_foreign_json(dint_tree):
         data = copy.deepcopy(good)
         edit(data["nodes"][3])
         with pytest.raises(ValueError, match=key):
+            import_json(json.dumps(data))
+    # a NaN or inf in the root's law or region rows would make every query
+    # read as infeasible
+    for key, value in [("L", np.nan), ("l", np.inf), ("Ku", np.nan), ("ku", -np.inf)]:
+        data = copy.deepcopy(good)
+        entries = np.array(data["nodes"][0][key])
+        entries.flat[0] = value
+        data["nodes"][0][key] = entries.tolist()
+        with pytest.raises(ValueError, match="NaN or infinite"):
             import_json(json.dumps(data))
     assert import_json(json.dumps(good)).num_regions == dint_tree.num_regions
 

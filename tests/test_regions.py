@@ -3,7 +3,7 @@ import pytest
 
 from czempc.cli import parse_problem
 from czempc.condense import MpcProblem, build_condensed_qp
-from czempc.explorer import enumerate_children, explore
+from czempc.explorer import candidate_indices, explore
 from czempc.linalg import null_space_qr
 from czempc.regions import (
     ActiveSet,
@@ -85,10 +85,11 @@ def test_children_stack_matches_scratch(case, paper_doc):
     for nd in tree.nodes:
         if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
             continue
-        candidates = enumerate_children(nd.active)
-        stack = region_iterative(cp, nd.result, [i for _, i in candidates])
+        candidates = candidate_indices(nd.active)
+        stack = region_iterative(cp, nd, candidates)
         assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
-        for position, (child, _) in enumerate(candidates):
+        for position, i in enumerate(candidates):
+            child = nd.active.with_index(i)
             try:
                 sc = region_from_scratch(cp, child, [-1]).result(0)
             except RegionRejected:
@@ -157,9 +158,9 @@ def test_scratch_stack_matches_reference(case, paper_doc):
     mixed = 0
     for nd in explore(cp, variant="baseline").nodes:
         assert _check_against_reference(cp, region_from_scratch(cp, nd.active, [-1]), 0, nd.active) is None
-        children = enumerate_children(nd.active)
-        stack = region_from_scratch(cp, nd.active, [i for _, i in children])
-        found = [_check_against_reference(cp, stack, p, child) for p, (child, _) in enumerate(children)]
+        children = candidate_indices(nd.active)
+        stack = region_from_scratch(cp, nd.active, children)
+        found = [_check_against_reference(cp, stack, p, nd.active.with_index(i)) for p, i in enumerate(children)]
         assert stack.kept.tolist() == [p for p, reason in enumerate(found) if reason is None]
         reasons += found
         mixed += None in found and "singular" in found
@@ -247,7 +248,7 @@ def test_xi_star_respects_facets(dint_tree, dint_cp):
     cp = dint_cp
     for nd in dint_tree.nodes:
         cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
-        xi = nd.result.xi_star(cheb.center)
+        xi = nd.xi_star(cheb.center)
         slack = cp.Y @ xi - 1.0
         if nd.active.indices:
             assert np.max(np.abs(slack[list(nd.active.indices)])) <= 1e-8
@@ -260,7 +261,7 @@ def test_kkt_residuals_interior(dint_tree, dint_cp, rng):
         for _ in range(3):
             d = rng.normal(size=dint_cp.n)
             x0 = cheb.center + 0.4 * cheb.radius * d / np.linalg.norm(d)
-            res = kkt_residuals(dint_cp, nd.result, x0)
+            res = kkt_residuals(dint_cp, nd, x0)
             assert res["stationarity"] <= 1e-8
             assert res["primal_eq"] <= 1e-8
             assert res["primal_ineq"] <= 1e-8
