@@ -22,12 +22,17 @@ from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev
 
 
-def test_candidate_indices_order():
+def test_swap_indices():
     # pair 1 taken by its upper facet 1, pair 2 by its lower facet 2 + 4: only
     # pairs 0 and 3 are free
     assert candidate_indices(ActiveSet(4, (1, 6))) == [4, 0, 7, 3]
+
+
+def test_enumerate_children_order():
+    a = ActiveSet(3, (2,))
     # free pairs 0 and 1; lower facet (i + Dbar) proposed before the upper one
-    assert candidate_indices(ActiveSet(3, (2,))) == [3, 0, 4, 1]
+    assert candidate_indices(a) == [3, 0, 4, 1]
+    assert all(a.with_index(i).contains(i) for i in candidate_indices(a))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
