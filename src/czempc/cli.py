@@ -14,7 +14,8 @@ Problem files are JSON with row-major nested arrays::
 Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
 on a command-line usage error, when condensing fails, e.g. a terminal
 recurrence that does not converge, on a NaN or infinite problem entry, a gain
-``K`` that is not m x n or a horizon that is not an integer, and on a NaN,
+``K`` that is not m x n, a horizon or recurrence ``maxIter`` that is not an
+integer, a value of the wrong JSON type, and on a NaN,
 infinite or negative radius threshold, a NaN or negative eps, or a negative
 ``--steps``).
 """
@@ -60,8 +61,12 @@ class ProblemFileError(ValueError):
 
 
 def _finite(value, name) -> np.ndarray:
-    """``value`` as a float array; a NaN or infinite entry is a file error."""
-    arr = np.asarray(value, dtype=float)
+    """``value`` as a float array; a non-numeric value or a NaN or infinite
+    entry is a file error."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{name} is not a numeric array: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ProblemFileError(f"{name} has a NaN or infinite entry")
     return arr
@@ -83,11 +88,11 @@ def _zonotope(doc, key) -> Zonotope:
         raise ProblemFileError(f"bad zonotope {key!r}: {exc}") from exc
 
 
-def _horizon(N) -> int:
+def _integer(value, name) -> int:
     """An integer, or a float with an integral value; a boolean is neither."""
-    if isinstance(N, bool) or not (isinstance(N, int) or isinstance(N, float) and N.is_integer()):
-        raise ProblemFileError(f"horizon N must be an integer, got {N!r}")
-    return int(N)
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ProblemFileError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
@@ -99,7 +104,7 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
         Q = _matrix(doc, "Q")
         R = np.atleast_2d(_matrix(doc, "R"))
         S = _matrix(doc, "S")
-        N = _horizon(n_override if n_override is not None else doc.get("N", 1))
+        N = _integer(n_override if n_override is not None else doc.get("N", 1), "horizon N")
         X = _zonotope(doc, "X")
         U = _zonotope(doc, "U")
         t_doc = doc.get("T")
@@ -108,13 +113,15 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
         gain = "lqr"
         if "recurrence" in t_doc:
             rec = t_doc["recurrence"]
+            if not isinstance(rec, dict):
+                raise ProblemFileError(f"T.recurrence must be an object, got {rec!r}")
             gain = rec.get("K", "lqr")
             if isinstance(gain, str):
                 if gain != "lqr":
                     raise ProblemFileError(f"unknown gain directive {gain!r}; use \"lqr\" or a matrix")
             else:
                 gain = np.atleast_2d(_finite(gain, "K"))
-            T = TerminalRecurrence(gain, int(rec.get("maxIter", 50)), float(rec.get("tol", 1e-8)))
+            T = TerminalRecurrence(gain, _integer(rec.get("maxIter", 50), "T.recurrence.maxIter"), float(rec.get("tol", 1e-8)))
         else:
             F = _finite(t_doc.get("F", []), "T.F")
             theta = _finite(t_doc.get("theta", []), "T.theta")
@@ -124,7 +131,7 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
             raise ProblemFileError(f"gain K has shape {gain.shape}, expected {(problem.m, problem.n)}")
     except ProblemFileError:
         raise
-    except (KeyError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ProblemFileError(str(exc)) from exc
     options = doc.get("options", {}) if isinstance(doc.get("options", {}), dict) else {}
     return problem, options

@@ -28,6 +28,12 @@ from czempc.regions import (
 from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_stack
 
 VARIANTS = ("baseline", "iter")
+# explore gathers parents for one stacked emptiness test until their fresh
+# candidates times Dbar**2 reach this budget: about 100 candidates at
+# Dbar = 22, 39 at Dbar = 36. A pending stack holds one to three Dbar**2
+# floats per kept candidate (iter's fewer than baseline's), so the batch's
+# stacks stay near 1 MB.
+BATCH_BUDGET = 50_000
 
 
 class InfeasibleProblem(RuntimeError):
@@ -91,6 +97,25 @@ def _node(res: RegionResult, node_id: int, ared, parent, edge_label) -> RegionNo
     return RegionNode(res.active, res.law, res.region, res.duals, res.cache, node_id, ared, parent, edge_label)
 
 
+def _accept(cp: CondensedProblem, tree: SolutionTree, batch: list, radius_threshold: float, node_cap: int) -> None:
+    """Test every kept candidate of ``batch`` for emptiness as one stack, then
+    append the non-empty ones to ``tree`` per parent, in candidate order."""
+    empty = is_empty_stack(
+        np.concatenate([stack.L for _, _, stack in batch]), np.concatenate([stack.l for _, _, stack in batch]),
+        radius_threshold,
+    )
+    tree.stats.empty += int(empty.sum())
+    for parent, fresh, stack in batch:
+        parent_empty, empty = empty[: stack.kept.size], empty[stack.kept.size :]
+        for position in stack.kept[~parent_empty]:
+            tree.stats.discovered += 1
+            if len(tree.nodes) >= node_cap:
+                raise ResourceCap(f"node cap {node_cap} exceeded")
+            res = stack.result(position)
+            tree.index[res.active.bits] = len(tree.nodes)
+            tree.nodes.append(_node(res, len(tree.nodes), reduced_active_set(cp, res.law), parent.node_id, fresh[position]))
+
+
 def check_thresholds(radius_threshold: float, eps: float) -> None:
     """Raise ``ValueError`` unless ``radius_threshold`` is finite and ``>= 0``
     and ``eps`` is ``>= 0``. A negative or NaN threshold would accept empty
@@ -112,10 +137,11 @@ def explore(
 
     ``variant`` selects how child regions are computed: 'baseline' from
     scratch, 'iter' by low-rank updates of the parent's factorizations.
-    Either way each parent's fresh candidates are solved as one stack and
-    tested for emptiness as one stack, and both variants accept the same
-    candidates. Raises ``ValueError`` on an unknown variant, a NaN,
-    infinite or negative ``radius_threshold``, or a NaN or negative ``eps``.
+    Either way each parent's fresh candidates are solved as one stack; the
+    stacks of consecutive parents, up to :data:`BATCH_BUDGET`, are tested for
+    emptiness as one stack, and both variants accept the same candidates.
+    Raises ``ValueError`` on an unknown variant, a NaN, infinite or negative
+    ``radius_threshold``, or a NaN or negative ``eps``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -134,32 +160,26 @@ def explore(
     seen = set(tree.index)  # bits of every candidate examined so far, accepted or not
     depth = cp.Dbar - cp.nbar_c  # Z has no columns here: every child would be singular
     stats = tree.stats
-    for node in tree.nodes:  # grows while iterated, so nodes are visited in BFS order
-        if node.active.cardinality >= depth:
-            continue
-        bits = node.active.bits
-        candidates = candidate_indices(node.active)
-        fresh = [i for i in candidates if bits | 1 << i not in seen]
-        seen.update(bits | 1 << i for i in fresh)
-        stats.examined += len(candidates)
-        stats.dedup += len(candidates) - len(fresh)
-        if not fresh:
-            continue
-        if variant == "baseline":
-            stack = region_from_scratch(cp, node.active, fresh)
-        else:
-            stack = region_iterative(cp, node, fresh, eps)
-        stats.numerical += len(fresh) - stack.kept.size
-        empty = is_empty_stack(stack.L, stack.l, radius_threshold)
-        stats.empty += int(empty.sum())
-        for position in stack.kept[~empty]:
-            stats.discovered += 1
-            if len(tree.nodes) >= node_cap:
-                raise ResourceCap(f"node cap {node_cap} exceeded")
-            res = stack.result(position)
-            tree.index[res.active.bits] = len(tree.nodes)
-            tree.nodes.append(_node(res, len(tree.nodes), reduced_active_set(cp, res.law), node.node_id, fresh[position]))
-        del stack  # so that two parents' stacks are never held at once
+    batch, size = [], 0  # (parent, fresh, stack) of the pending parents; their candidate count
+    for position, node in enumerate(tree.nodes):  # grows at each batch, so nodes are visited in BFS order
+        if node.active.cardinality < depth:
+            bits = node.active.bits
+            candidates = candidate_indices(node.active)
+            fresh = [i for i in candidates if bits | 1 << i not in seen]
+            seen.update(bits | 1 << i for i in fresh)
+            stats.examined += len(candidates)
+            stats.dedup += len(candidates) - len(fresh)
+            if fresh:
+                if variant == "baseline":
+                    batch.append((node, fresh, region_from_scratch(cp, node.active, fresh)))
+                else:
+                    batch.append((node, fresh, region_iterative(cp, node, fresh, eps)))
+                stats.numerical += len(fresh) - batch[-1][2].kept.size
+                size += len(fresh)
+        # decide the batch once it fills the budget or no known node is left
+        if batch and (size * cp.Dbar**2 >= BATCH_BUDGET or position + 1 == len(tree.nodes)):
+            _accept(cp, tree, batch, radius_threshold, node_cap)
+            batch, size = [], 0  # frees the batch's stacks before the next batch
     return tree
 
 

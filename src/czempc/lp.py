@@ -47,16 +47,15 @@ class LpResult:
     basis: np.ndarray | None = None  # basic columns at the optimum (standard form)
 
 
-def _pivot(T: np.ndarray, r: np.ndarray, j: np.ndarray, live: np.ndarray) -> None:
-    """Pivot every tableau ``T[k]`` with ``live[k]`` on entry ``(r[k], j[k])``;
-    the others stay bit for bit as they are.
+def _pivot(T: np.ndarray, r: np.ndarray, j: np.ndarray) -> None:
+    """Pivot every tableau ``T[k]`` of the stack on entry ``(r[k], j[k])``.
 
     The pivot row scaled to ``prow`` has ``prow[j] = 1`` exactly, so the
     elimination leaves exact zeros in column ``j`` outside row ``r``.
     """
     k = np.arange(T.shape[0])
-    prow = T[k, r] / np.where(live, T[k, r, j], 1.0)[:, None]
-    T -= (T[k, :, j] * live[:, None])[:, :, None] * prow[:, None, :]
+    prow = T[k, r] / T[k, r, j][:, None]
+    T -= T[k, :, j][:, :, None] * prow[:, None, :]
     T[k, r] = prow
 
 
@@ -64,42 +63,49 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, cutoff=-np.inf) -
     """Iterate on the stack of tableaux ``T`` (B, m+1, n+1), objective in the
     last row and rhs in the last column; ``basis`` (B, m) holds each row's
     basic column, and a negative entry marks an inert row. Both are updated
-    in place; an LP that has stopped is no longer pivoted.
+    in place.
 
     Returns one status per LP: 'optimal', 'unbounded', or 'cutoff' as soon
     as the objective value ``-T[k, -1, -1]`` of the current basic feasible
-    point falls below ``cutoff`` (a scalar or one value per LP).
+    point falls below ``cutoff`` (a scalar or one value per LP). An LP that
+    stops is written back and dropped from the working stack, so the LPs
+    still running never pay for the finished ones; every LP pivots exactly
+    as it would in a stack of one.
     """
-    k = np.arange(T.shape[0])
-    status = np.empty(k.size, dtype=object)
-    running = np.ones(k.size, dtype=bool)
-    cutoff = np.broadcast_to(np.asarray(cutoff, dtype=float), k.shape)
-    degenerate = np.zeros(k.size, dtype=int)
+    status = np.empty(T.shape[0], dtype=object)
+    W, wb = T, basis  # the working stack: the LPs still running
+    k = run = np.arange(T.shape[0])  # positions in W; the LP of each position
+    cutoff = np.broadcast_to(np.asarray(cutoff, dtype=float), run.shape)
+    degenerate = np.zeros(run.size, dtype=int)
     for _ in range(_MAX_ITER):
-        reduced = T[:, -1, :-1]
+        reduced = W[:, -1, :-1]
         improving = reduced < -tol
         j = reduced.argmin(axis=1)  # Dantzig: most negative reduced cost
         bland = degenerate >= _DEGENERATE_RUN
         if bland.any():  # Bland: lowest improving index
             j = np.where(bland, improving.argmax(axis=1), j)
-        col = T[k, :-1, j]
+        col = W[k, :-1, j]
         rows = col > tol
         optimal = ~improving.any(axis=1)
-        cut = -T[:, -1, -1] < cutoff
-        stop = running & (optimal | cut | ~rows.any(axis=1))
+        cut = -W[:, -1, -1] < cutoff
+        stop = optimal | cut | ~rows.any(axis=1)
         if stop.any():
-            status[stop] = np.where(cut, "cutoff", np.where(optimal, "optimal", "unbounded"))[stop]
-            running &= ~stop
-            if not running.any():
+            done = run[stop]
+            status[done] = np.where(cut, "cutoff", np.where(optimal, "optimal", "unbounded"))[stop]
+            T[done], basis[done] = W[stop], wb[stop]
+            go = ~stop
+            if not go.any():
                 return status
+            run, W, wb, cutoff, degenerate = run[go], W[go], wb[go], cutoff[go], degenerate[go]
+            k, j, col, rows = np.arange(run.size), j[go], col[go], rows[go]
         ratios = np.full(col.shape, np.inf)
-        np.divide(T[:, :-1, -1], col, out=ratios, where=rows)
+        np.divide(W[:, :-1, -1], col, out=ratios, where=rows)
         best = ratios.min(axis=1)
         ties = ratios <= (best + tol * (1.0 + np.abs(best)))[:, None]
-        r = np.where(ties, basis, _NO_ROW).argmin(axis=1)  # lowest basic index leaves
+        r = np.where(ties, wb, _NO_ROW).argmin(axis=1)  # lowest basic index leaves
         degenerate = np.where(best <= tol, degenerate + 1, 0)
-        _pivot(T, r, j, running)
-        basis[k, r] = np.where(running, j, basis[k, r])
+        _pivot(W, r, j)
+        wb[k, r] = j
     raise SimplexStalled("simplex iteration cap exceeded")
 
 
@@ -140,9 +146,11 @@ def solve_stack(A, b, C, tol: float = 1e-9, cutoff=-np.inf) -> list:
             continue
         nonzero = np.abs(T[:, r, :n]) > tol
         move = left & nonzero.any(axis=1)
-        j = nonzero.argmax(axis=1)
-        _pivot(T, np.full(B, r), j, move)
-        basis[move, r] = j[move]
+        j = nonzero.argmax(axis=1)[move]
+        moved = T[move]
+        _pivot(moved, np.full(j.size, r), j)
+        T[move] = moved
+        basis[move, r] = j
         inert = left & ~move
         T[inert, r] = 0.0
         basis[inert, r] = -1

@@ -370,6 +370,25 @@ def test_non_integral_horizon_exits_3(tmp_path, capsys, dint_doc, N):
     assert problem.N == 2 and isinstance(problem.N, int)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(A={"x": 1}), "A is not a numeric array"),
+        (lambda d: d.update(T={"recurrence": [1]}), "T.recurrence must be an object"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": [1]}}), "not 'list'"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "maxIter": 2.7}}), "maxIter must be an integer"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "maxIter": True}}), "maxIter must be an integer"),
+    ],
+    ids=["A-object", "recurrence-list", "tol-list", "maxIter-fraction", "maxIter-boolean"],
+)
+def test_wrongly_typed_problem_data_exits_3(tmp_path, capsys, edit, message):
+    # the first three ended in a TypeError or AttributeError traceback (exit 1);
+    # maxIter 2.7 ran 2 steps and true ran 1, both writing a tree with exit 0
+    code, err = _solve_edited_dint(tmp_path, capsys, edit)
+    assert code == EXIT_PARSE
+    assert len(err) == 1 and message in err[0]
+
+
 def test_unknown_variant_in_problem_file(tmp_path, capsys):
     doc = json.loads(PAPER_PROBLEM.read_text())
     doc["options"]["variant"] = "iter-quick"  # removed: it never changed a tree
@@ -416,6 +435,8 @@ def test_unknown_variant_option(tmp_path):
     [
         (PAPER_PROBLEM, {"K": "lqr", "maxIter": 1}, "did not converge"),  # needs 4 steps
         (DINT_PROBLEM, {"K": [[1.0, 1.0]]}, "not Schur stable"),
+        (DINT_PROBLEM, {"K": "lqr", "maxIter": 0}, "did not converge in 0 steps"),
+        (DINT_PROBLEM, {"K": "lqr", "maxIter": -1.0}, "did not converge in -1 steps"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from czempc import explorer
 from czempc.condense import MpcProblem, build_condensed_qp
 from czempc.cli import parse_problem
 from czempc.explorer import (
@@ -19,7 +20,7 @@ from czempc.explorer import (
 )
 from czempc.regions import ActiveSet, reduced_active_set
 from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
-from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev
+from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, is_empty_stack
 
 
 def test_swap_indices():
@@ -96,6 +97,30 @@ def test_variants_agree_cz_terminal(paper_doc):
     assert {v: t.num_regions for v, t in trees.items()} == {"baseline": 77, "iter": 77}
     assert set(trees["iter"].index) == set(trees["baseline"].index)
     assert ActiveSet(cp.Dbar, (29, 52)).bits in trees["iter"].index
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("problem", ["paper-n2", "cz-n1"])
+def test_batch_budget_changes_nothing(monkeypatch, paper_doc, problem, variant):
+    # a budget of one candidate decides each parent alone; an unbounded one
+    # decides every known node, a whole BFS level, at once
+    doc = dict(paper_doc, N=2) if problem == "paper-n2" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    cp = build_condensed_qp(parse_problem(doc)[0])
+    stacks = []
+
+    def counting(L, l, radius_threshold):
+        stacks.append(len(L))
+        return is_empty_stack(L, l, radius_threshold)
+
+    monkeypatch.setattr(explorer, "is_empty_stack", counting)
+    default, texts, calls = explorer.BATCH_BUDGET, {}, {}
+    for budget in (1, default, np.inf):
+        monkeypatch.setattr(explorer, "BATCH_BUDGET", budget)
+        stacks.clear()
+        texts[budget] = export_json(explore(cp, variant=variant))
+        calls[budget] = len(stacks)
+    assert texts[1] == texts[default] == texts[np.inf]
+    assert calls[1] >= calls[default] >= calls[np.inf] and calls[1] > calls[np.inf]
 
 
 def test_stored_ared_matches_law(dint_cp, dint_tree):

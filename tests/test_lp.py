@@ -242,6 +242,65 @@ def test_stack_matches_one_by_one(seed):
     assert seen == {"optimal", "infeasible", "unbounded", "cutoff"}
 
 
+def _assert_pivots_as_alone(monkeypatch, T, basis, tol, cutoff) -> list:
+    """Run the stack ``T``, ``basis`` and each of its LPs alone; every
+    tableau, basis and status must agree, and the stack must pivot each LP
+    exactly as often as its solve alone does. Returns those pivot counts."""
+    pivot, per_lp = lp._pivot, [0]
+
+    def counting(T, r, j):
+        per_lp[0] += T.shape[0]
+        pivot(T, r, j)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    cutoff = np.broadcast_to(cutoff, T.shape[:1])
+    alone = [(T[k : k + 1].copy(), basis[k : k + 1].copy()) for k in range(len(T))]
+    status = lp._run_simplex(T, basis, tol, cutoff)
+    stacked, counts = per_lp[0], []
+    for k, (T1, basis1) in enumerate(alone):
+        per_lp[0] = 0
+        assert lp._run_simplex(T1, basis1, tol, cutoff[k])[0] == status[k]
+        counts.append(per_lp[0])
+        np.testing.assert_array_equal(T[k], T1[0])
+        np.testing.assert_array_equal(basis[k], basis1[0])
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    assert stacked == sum(counts)
+    return counts
+
+
+def test_finished_lps_leave_the_stack(monkeypatch):
+    # LPs that stop at different iterations, with every status: each one that
+    # stops is written back and dropped from the stack, and the others go on
+    # pivoting exactly as they would alone, in both phases
+    rng = np.random.default_rng(11)
+    kinds = ["optimal", "infeasible", "unbounded", "degenerate"] * 3
+    problems = [_random_standard_form(rng, kind) for kind in kinds]
+    A, b, C = (np.array([p[i] for p in problems]) for i in range(3))
+    cutoff = np.where(np.arange(len(kinds)) % 5 == 0, 1e3, -np.inf)  # these stop at their first feasible point
+    run, calls = lp._run_simplex, []
+
+    def recording(T, basis, tol, cutoff=-np.inf):
+        calls.append((T.copy(), basis.copy(), tol, cutoff))
+        return run(T, basis, tol, cutoff)
+
+    monkeypatch.setattr(lp, "_run_simplex", recording)
+    results = solve_stack(A, b, C, cutoff=cutoff)
+    monkeypatch.setattr(lp, "_run_simplex", run)
+    assert {res.status for res in results} == {"optimal", "cutoff", "unbounded", "infeasible"}
+    assert len(calls) == 2  # phase 1 of every LP, then phase 2 of the feasible ones
+    counts = [_assert_pivots_as_alone(monkeypatch, *call) for call in calls]
+    assert len(set(counts[0])) >= 3 and len(set(counts[1])) >= 3
+    # Beale's cycling LP between two that finish first, one after 0 pivots and
+    # one after 3, amid Beale's degenerate run: Beale keeps its own count, so it
+    # turns to Bland's rule as it would alone
+    T, basis, *_ = _beale_tableau()
+    stack = np.repeat(T[None], 3, axis=0)
+    stack[0, -1, :7] = [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0]
+    stack[2, -1, :7] = [-0.1, 2.7, 1.0, -0.8, 0.0, 0.0, 0.0]
+    counts = _assert_pivots_as_alone(monkeypatch, stack, np.repeat(basis[None], 3, axis=0), 1e-9, -np.inf)
+    assert counts[0] == 0 and counts[2] == 3 and counts[1] > lp._DEGENERATE_RUN
+
+
 def test_shared_phase_one_matches_separate_solves():
     rng = np.random.default_rng(7)
     n, k = 6, 2
