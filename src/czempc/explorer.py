@@ -21,7 +21,7 @@ from czempc.regions import (
     CriticalRegion,
     RegionRejected,
     RegionResult,
-    reduced_active_set,
+    reduced_active_set,  # noqa: F401 (perfbench/spans.py traces it by this name)
     region_from_scratch,
     region_iterative,
 )
@@ -50,7 +50,6 @@ class RegionNode(RegionResult):
     the node it was reached from by activating facet ``edge_label``."""
 
     node_id: int
-    ared: tuple | None
     parent: int | None
     edge_label: int | None
 
@@ -93,11 +92,11 @@ def candidate_indices(active: ActiveSet) -> list:
     return [j for i in range(d) if i not in taken for j in (i + d, i)]
 
 
-def _node(res: RegionResult, node_id: int, ared, parent, edge_label) -> RegionNode:
-    return RegionNode(res.active, res.law, res.region, res.duals, res.cache, node_id, ared, parent, edge_label)
+def _node(res: RegionResult, node_id: int, parent, edge_label) -> RegionNode:
+    return RegionNode(res.active, res.law, res.region, res.duals, res.cache, node_id, parent, edge_label)
 
 
-def _accept(cp: CondensedProblem, tree: SolutionTree, batch: list, radius_threshold: float, node_cap: int) -> None:
+def _accept(tree: SolutionTree, batch: list, radius_threshold: float, node_cap: int) -> None:
     """Test every kept candidate of ``batch`` for emptiness as one stack, then
     append the non-empty ones to ``tree`` per parent, in candidate order."""
     empty = is_empty_stack(
@@ -113,7 +112,7 @@ def _accept(cp: CondensedProblem, tree: SolutionTree, batch: list, radius_thresh
                 raise ResourceCap(f"node cap {node_cap} exceeded")
             res = stack.result(position)
             tree.index[res.active.bits] = len(tree.nodes)
-            tree.nodes.append(_node(res, len(tree.nodes), reduced_active_set(cp, res.law), parent.node_id, fresh[position]))
+            tree.nodes.append(_node(res, len(tree.nodes), parent.node_id, fresh[position]))
 
 
 def check_thresholds(radius_threshold: float, eps: float) -> None:
@@ -154,7 +153,7 @@ def explore(
         raise InfeasibleProblem(f"root region rejected: {exc.reason}") from exc
     if is_empty(Polytope(root.region.L, root.region.l), radius_threshold):
         raise InfeasibleProblem("root critical region is empty")
-    tree.nodes.append(_node(root, 0, reduced_active_set(cp, root.law), None, None))
+    tree.nodes.append(_node(root, 0, None, None))
     tree.index[root.active.bits] = 0
 
     seen = set(tree.index)  # bits of every candidate examined so far, accepted or not
@@ -178,7 +177,7 @@ def explore(
                 size += len(fresh)
         # decide the batch once it fills the budget or no known node is left
         if batch and (size * cp.Dbar**2 >= BATCH_BUDGET or position + 1 == len(tree.nodes)):
-            _accept(cp, tree, batch, radius_threshold, node_cap)
+            _accept(tree, batch, radius_threshold, node_cap)
             batch, size = [], 0  # frees the batch's stacks before the next batch
     return tree
 
@@ -204,7 +203,7 @@ def export_json(tree: SolutionTree) -> str:
     """Full numeric payload; floats round-trip exactly via repr."""
     payload = {
         "format": "czempc-tree",
-        "version": 1,
+        "version": 2,
         "Dbar": tree.Dbar,
         "n": tree.n,
         "m": tree.m,
@@ -220,7 +219,6 @@ def export_json(tree: SolutionTree) -> str:
                 "ku": _mat(nd.law.ku),
                 "L": _mat(nd.region.L),
                 "l": _mat(nd.region.l),
-                "ared": list(nd.ared) if nd.ared is not None else None,
                 "parent": nd.parent,
                 "edge_label": nd.edge_label,
             }
@@ -232,9 +230,10 @@ def export_json(tree: SolutionTree) -> str:
 
 def import_json(text: str) -> SolutionTree:
     """Rebuild a tree from :func:`export_json` output (laws/regions only;
-    KKT caches and duals are not serialized). A malformed file raises
-    ``ValueError``, as does a node whose ``id`` is not its position or whose
-    ``L``, ``l``, ``Ku`` or ``ku`` has the wrong shape or a NaN or inf."""
+    KKT caches and duals are not serialized; the ``ared`` lists of version-1
+    files are ignored). A malformed file raises ``ValueError``, as does a
+    node whose ``id`` is not its position or whose ``L``, ``l``, ``Ku`` or
+    ``ku`` has the wrong shape or a NaN or inf."""
     data = json.loads(text)
     if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
@@ -264,10 +263,9 @@ def import_json(text: str) -> SolutionTree:
                         f"malformed tree file: node {position} has {key} of shape {arrays[key].shape}, expected {shape}"
                     )
             active = ActiveSet(tree.Dbar, tuple(nd["active"]))
-            ared = tuple(nd["ared"]) if nd["ared"] is not None else None
             tree.nodes.append(RegionNode(
                 active, AffineLaw(arrays["Ku"], arrays["ku"]), CriticalRegion(arrays["L"], arrays["l"]),
-                duals=None, cache=None, node_id=position, ared=ared, parent=nd["parent"], edge_label=nd["edge_label"],
+                duals=None, cache=None, node_id=position, parent=nd["parent"], edge_label=nd["edge_label"],
             ))
             tree.index[active.bits] = position
         values = [a.ravel() for nd in tree.nodes for a in (nd.law.Ku, nd.law.ku, nd.region.L, nd.region.l)]

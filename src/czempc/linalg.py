@@ -18,17 +18,6 @@ import numpy as np
 import scipy.linalg
 
 
-class PivotZeroError(ValueError):
-    """Raised when the requested pivot entry of a row vector is (near) zero.
-
-    ``mask`` marks the failing rows when the call was on a stack.
-    """
-
-    def __init__(self, message: str, mask: np.ndarray):
-        super().__init__(message)
-        self.mask = mask
-
-
 class SingularUpdateError(np.linalg.LinAlgError):
     """Raised when the 2x2 capacitance factor of the inverse update is singular.
 
@@ -70,13 +59,14 @@ def null_space_qr(M: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
     return Q[:, rank:]
 
 
-def sparse_null_basis(z: np.ndarray, j, tol: float = 1e-12) -> np.ndarray:
-    """Sparse basis of ``null(z)`` for a nonzero row vector ``z`` with pivot ``z[j]``.
+def sparse_null_basis(z: np.ndarray, j) -> np.ndarray:
+    """Sparse basis of ``null(z)`` for a row vector ``z`` with pivot ``z[j]``.
 
     Column ``k`` has a unit entry at row ``sigma(k)`` and ``-z[sigma(k)] / z[j]``
     at row ``j``, where ``sigma(k) = k`` for ``k < j`` and ``k + 1`` otherwise.
-    The product ``z @ V`` vanishes exactly in exact arithmetic. Callers should
-    pick ``j = argmax |z|`` for stability. A stack of rows ``z`` (B, n) with
+    The product ``z @ V`` vanishes exactly in exact arithmetic. The pivot must
+    be nonzero; this is not checked, and callers should pick
+    ``j = argmax |z|`` for stability. A stack of rows ``z`` (B, n) with
     pivots ``j`` (B,) gives a stack of bases (B, n, n - 1).
     """
     z = np.asarray(z, dtype=float)
@@ -87,9 +77,6 @@ def sparse_null_basis(z: np.ndarray, j, tol: float = 1e-12) -> np.ndarray:
         raise IndexError(f"pivot index out of range for vectors of size {n}")
     rows = np.arange(B)
     pivot = Z[rows, J]
-    zero = np.abs(pivot) <= tol * np.maximum(1.0, np.abs(Z).max(axis=1, initial=0.0))
-    if zero.any():
-        raise PivotZeroError(f"pivot |z[j]| = {np.abs(pivot[zero]).max():.3e} below tolerance", zero)
     cols = np.arange(n - 1)
     sigma = cols + (cols >= J[:, None])  # (B, n - 1)
     V = np.zeros((B, n, n - 1))

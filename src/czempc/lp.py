@@ -77,6 +77,8 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, tol: float, cutoff=-np.inf) -
     k = run = np.arange(T.shape[0])  # positions in W; the LP of each position
     cutoff = np.broadcast_to(np.asarray(cutoff, dtype=float), run.shape)
     degenerate = np.zeros(run.size, dtype=int)
+    if not run.size:  # an empty stack has nothing to stop
+        return status
     for _ in range(_MAX_ITER):
         reduced = W[:, -1, :-1]
         improving = reduced < -tol

@@ -16,7 +16,6 @@ import numpy as np
 
 from czempc.condense import CondensedProblem
 from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces null_space_qr and the dense updates by these names)
-    PivotZeroError,
     SingularUpdateError,
     greville_append_row_pinv,
     greville_update,
@@ -28,6 +27,7 @@ from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces null_space_
 
 PD_PIVOT_TOL = 1e-10
 SVD_RTOL = 1e-11  # rank test of T: smallest singular value against the largest
+PIVOT_TOL = 1e-12  # a child's row z = y_i Zp vanishes when no entry exceeds this in size
 ARED_TOL = 1e-8
 
 
@@ -137,8 +137,7 @@ class KktCache:
 
     Z: np.ndarray  # Dbar x (Dbar - nbar_c - n_A), basis of null([F_D; Y_A])
     Kinv: np.ndarray  # Dbar x Dbar
-    T: np.ndarray  # Dbar x (nbar_c + n_A), [F_D' Y_A']
-    Tpinv: np.ndarray  # pseudoinverse of T
+    Tpinv: np.ndarray  # pseudoinverse of T = [F_D' Y_A']
     kappa1: np.ndarray
     kappa2: np.ndarray
 
@@ -209,9 +208,8 @@ class RegionStack:
         law = AffineLaw(self.u[i, :, 1:].copy(), self.u[i, :, 0].copy())
         duals = DualSolution(self.S[i, :, 1:].copy(), self.S[i, :, 0].copy(), cp.nbar_c)
         region = CriticalRegion(self.L[i].copy(), self.l[i].copy())
-        T = np.hstack([cp.F_D.T, cp.Y[list(active.indices)].T])
         cache = KktCache(
-            self.Z[i].copy(), np.array(self.Kinv[i]), T, np.array(self.Tpinv[i]),
+            self.Z[i].copy(), np.array(self.Kinv[i]), np.array(self.Tpinv[i]),
             self.kappa[i, :, 0].copy(), self.kappa[i, :, 1:].copy(),
         )
         return RegionResult(active, law, region, duals, cache)
@@ -345,13 +343,9 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
         Zp = np.zeros((cp.Dbar, 1))  # keeps the empty stack's shapes valid
     z = cp.Y[idx[live]] @ Zp
     j = np.abs(z).argmax(axis=1)
-    try:
-        V = sparse_null_basis(z, j)
-    except PivotZeroError as exc:
-        ok = _reject(reasons, live, exc.mask, "singular")
-        live, z, j = live[ok], z[ok], j[ok]
-        V = sparse_null_basis(z, j)
-    Zc = Zp @ V
+    ok = _reject(reasons, live, np.abs(z[np.arange(live.size), j]) <= PIVOT_TOL, "singular")
+    live, z, j = live[ok], z[ok], j[ok]
+    Zc = Zp @ sparse_null_basis(z, j)
     ok = _reject(reasons, live, ~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
     live, z, j, Zc = live[ok], z[ok], j[ok], Zc[ok]
 
@@ -369,7 +363,8 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
         live, Zc, U, W, j, target, pos = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok], pos[ok]
         Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
 
-    Tpinv = greville_update(parent.cache.Tpinv, parent.cache.T, cp.Y[idx[live]], nc + pos)
+    T = np.hstack([cp.F_D.T, cp.Y[list(active.indices)].T])  # the parent's [F_D' Y_A']
+    Tpinv = greville_update(parent.cache.Tpinv, T, cp.Y[idx[live]], nc + pos)
     # the child's inactive facets: the parent's minus the new index
     inactive = active.inactive()
     r = np.arange(inactive.size - 1)

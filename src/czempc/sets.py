@@ -234,10 +234,10 @@ def is_empty(P: Polytope, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) ->
 
 def is_empty_stack(A: np.ndarray, b: np.ndarray, radius_threshold: float = DEFAULT_RADIUS_THRESHOLD) -> np.ndarray:
     """:func:`is_empty` for a stack of equal-shape polytopes ``{x : A[k] x <= b[k]}``
-    (``A`` is (B, m, n), ``b`` is (B, m)); one bool per polytope."""
-    results, Abar = _chebyshev_duals(A, b, radius_threshold)
-    radius = np.array([_ball(res, Abar[k], b[k]).radius for k, res in enumerate(results)])
-    return radius < radius_threshold
+    (``A`` is (B, m, n), ``b`` is (B, m)); one bool per polytope. The radius is
+    the dual objective (strong duality), so no centre is computed."""
+    results, _ = _chebyshev_duals(A, b, radius_threshold)
+    return np.array([_dual_radius(res) < radius_threshold for res in results], dtype=bool)
 
 
 def _chebyshev_duals(A: np.ndarray, b: np.ndarray, cutoff: float) -> tuple:
@@ -263,29 +263,33 @@ def _chebyshev_duals(A: np.ndarray, b: np.ndarray, cutoff: float) -> tuple:
     solvable = ~np.any(zero & (b < -1e-12), axis=1)
     results = [None] * len(b)
     live = solvable.nonzero()[0]
-    if live.size:
-        A_dual = Abar.swapaxes(1, 2) if live.size == len(b) else Abar[live].swapaxes(1, 2)
-        rhs = np.broadcast_to(rhs, (live.size, rhs.size))
-        for k, res in zip(live, solve_stack(A_dual, rhs, cost[live], cutoff=cutoff)):
-            results[k] = res
+    A_dual = Abar.swapaxes(1, 2) if live.size == len(b) else Abar[live].swapaxes(1, 2)
+    rhs = np.broadcast_to(rhs, (live.size, rhs.size))
+    for k, res in zip(live, solve_stack(A_dual, rhs, cost[live], cutoff=cutoff)):
+        results[k] = res
     return results, Abar
 
 
-def _ball(res, Abar: np.ndarray, b: np.ndarray) -> ChebyshevResult:
-    """The ball told by one dual solve of :func:`_chebyshev_duals`.
+def _dual_radius(res) -> float:
+    """The radius told by one dual solve of :func:`_chebyshev_duals`: its
+    objective at the optimum, or the bound at a cutoff.
 
-    An infeasible dual means ``radius = +inf``. An unbounded dual means an
-    infeasible primal, which exact arithmetic rules out (take ``r`` small
-    enough); it does happen on rows with norms just above the zero cut and
-    large offsets, where the radius is hugely negative, so it reports
-    ``radius = -inf`` (empty). At a cutoff the dual objective is the radius
-    bound, with no centre. At the optimum the centre and radius solve
-    ``A_B x + r ||A_B|| = b_B`` over the basic rows ``B``.
+    An infeasible dual means ``+inf``. An unbounded dual means an infeasible
+    primal, which exact arithmetic rules out (take ``r`` small enough); it
+    does happen on rows with norms just above the zero cut and large offsets,
+    where the radius is hugely negative, so it reads ``-inf`` (empty), as
+    does an unsatisfiable constant row (``res`` is None).
     """
-    if res is None:
-        return ChebyshevResult(None, -np.inf)
-    if res.status != "optimal":
-        return ChebyshevResult(None, {"infeasible": np.inf, "unbounded": -np.inf}.get(res.status, res.fun))
+    return -np.inf if res is None else {"infeasible": np.inf, "unbounded": -np.inf}.get(res.status, res.fun)
+
+
+def _ball(res, Abar: np.ndarray, b: np.ndarray) -> ChebyshevResult:
+    """The ball told by one dual solve of :func:`_chebyshev_duals`. At the
+    optimum the centre and radius solve ``A_B x + r ||A_B|| = b_B`` over the
+    basic rows ``B``; otherwise there is no centre and the radius is
+    :func:`_dual_radius`."""
+    if res is None or res.status != "optimal":
+        return ChebyshevResult(None, _dual_radius(res))
     A_B, b_B = Abar[res.basis], b[res.basis]
     if A_B.shape[0] == A_B.shape[1]:
         z = np.linalg.solve(A_B, b_B)

@@ -167,7 +167,7 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
         if Z.shape[1]:
             worst_angle = max(worst_angle, float(np.max(principal_angles(Z, scratch.cache.Z))))
         # Moore-Penrose conditions of the updated pseudoinverse
-        T, Tp = cache.T, cache.Tpinv
+        T, Tp = np.hstack([cp.F_D.T, Y_A.T]), cache.Tpinv
         worst_mp = max(
             worst_mp,
             float(np.linalg.norm(T @ Tp @ T - T)),

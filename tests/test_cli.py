@@ -9,6 +9,7 @@ from czempc import cli
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main, parse_problem
 from czempc.condense import MpcProblem, TerminalRecurrence, build_terminal_set
 from czempc.explorer import explore, import_json
+from czempc.regions import AffineLaw, reduced_active_set
 from czempc.runtime import evaluate
 from czempc.sets import DimensionMismatch
 
@@ -290,6 +291,42 @@ def test_eval_reads_tree_with_quick_check_stats(tmp_path, capsys):
     assert loaded.variant == "iter-quick"
     st = loaded.stats
     assert st.discovered + st.numerical + st.empty + st.dedup == st.examined
+
+
+def _eval_lines(tree, capsys):
+    capsys.readouterr()
+    assert main(["eval", str(tree), "1.0,0.5", "0.5,-0.2", "50,50"]) == EXIT_OK
+    return capsys.readouterr().out.splitlines()
+
+
+def test_eval_reads_version_1_tree_with_ared(tmp_path, capsys, dint_cp):
+    # version-1 files carry each node's reduced active set, which is ignored
+    def older(d):
+        d["version"] = 1
+        for nd in d["nodes"]:
+            law = AffineLaw(np.array(nd["Ku"]), np.array(nd["ku"]))
+            nd["ared"] = list(reduced_active_set(dint_cp, law))
+
+    current = _write_tree(tmp_path, lambda d: None)
+    data = json.loads(current.read_text())
+    assert data["version"] == 2 and not any("ared" in nd for nd in data["nodes"])
+    want = _eval_lines(current, capsys)
+    tree = _write_tree(tmp_path, older)
+    assert any(nd["ared"] for nd in json.loads(tree.read_text())["nodes"])
+    assert _eval_lines(tree, capsys) == want
+    assert import_json(tree.read_text()).num_regions == 9
+
+
+def test_eval_reads_version_2_tree_without_ared(tmp_path, capsys):
+    def newer(d):
+        d["version"] = 2
+        for nd in d["nodes"]:
+            nd.pop("ared", None)
+
+    tree = _write_tree(tmp_path, newer)
+    assert import_json(tree.read_text()).num_regions == 9
+    lines = _eval_lines(tree, capsys)
+    assert lines[0] == "node,u0" and lines[1] != "infeasible" and lines[3] == "infeasible"
 
 
 def test_malformed_json(tmp_path, capsys):

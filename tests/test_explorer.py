@@ -18,7 +18,7 @@ from czempc.explorer import (
     export_json,
     import_json,
 )
-from czempc.regions import ActiveSet, reduced_active_set
+from czempc.regions import ActiveSet
 from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, is_empty_stack
 
@@ -121,13 +121,6 @@ def test_batch_budget_changes_nothing(monkeypatch, paper_doc, problem, variant):
         calls[budget] = len(stacks)
     assert texts[1] == texts[default] == texts[np.inf]
     assert calls[1] >= calls[default] >= calls[np.inf] and calls[1] > calls[np.inf]
-
-
-def test_stored_ared_matches_law(dint_cp, dint_tree):
-    # the reduced active set is computed once per accepted node
-    for tree in (dint_tree, explore(dint_cp, variant="baseline")):
-        for nd in tree.nodes:
-            assert nd.ared == reduced_active_set(dint_cp, nd.law)
 
 
 def test_unknown_variant(dint_cp):
@@ -267,7 +260,6 @@ def test_json_roundtrip_exact(dint_tree):
     assert dataclasses.asdict(back.stats) == dataclasses.asdict(dint_tree.stats)
     for a, b in zip(dint_tree.nodes, back.nodes):
         assert a.active.indices == b.active.indices
-        assert a.ared == b.ared
         assert a.parent == b.parent and a.edge_label == b.edge_label
         # repr-based serialization round-trips every float bit-exactly
         assert np.array_equal(a.law.Ku, b.law.Ku)

@@ -327,3 +327,10 @@ def test_cutoff_stops_at_a_feasible_point():
     assert res.status == "cutoff"
     assert 1.0 <= res.fun < 2.5  # an upper bound on the optimum, below the cutoff
     assert solve_standard_form(A, b, c, cutoff=0.5).status == "optimal"
+
+
+def test_empty_stack_returns_at_once(monkeypatch):
+    # with no LP to stop, the iteration used to run to its cap and raise
+    monkeypatch.setattr(lp, "_MAX_ITER", 10)
+    assert solve_stack(np.zeros((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3))) == []
+    assert solve_stack(np.ones((1, 3)), np.ones(1), np.zeros((0, 3))) == []  # shared A, no objective

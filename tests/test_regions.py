@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from czempc import explorer, regions
 from czempc.cli import parse_problem
 from czempc.condense import MpcProblem, build_condensed_qp
 from czempc.explorer import candidate_indices, explore
 from czempc.linalg import null_space_qr
 from czempc.regions import (
+    PD_PIVOT_TOL,
     ActiveSet,
     RegionRejected,
     _finish,
@@ -102,7 +104,6 @@ def test_children_stack_matches_scratch(case, paper_doc):
             for got, want in [(it.law.Ku, sc.law.Ku), (it.law.ku, sc.law.ku), (it.region.L, sc.region.L),
                               (it.region.l, sc.region.l)]:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * (1.0 + np.abs(want).max()))
-            np.testing.assert_array_equal(it.cache.T, sc.cache.T)
             accepted += 1
     assert accepted > 100 and rejected > 100
 
@@ -143,7 +144,6 @@ def _check_against_reference(cp, stack, position, active):
     for g, w in [(got.law.Ku, ref.law.Ku), (got.law.ku, ref.law.ku), (got.duals.S, ref.duals.S),
                  (got.duals.s, ref.duals.s), (got.region.L, ref.region.L), (got.region.l, ref.region.l)]:
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-9 * (1.0 + np.abs(w).max()))
-    np.testing.assert_array_equal(got.cache.T, ref.cache.T)
     return None
 
 
@@ -181,6 +181,78 @@ def test_scratch_past_full_cardinality_is_singular(dint_cp):
     for position in range(len(added)):
         with pytest.raises(RegionRejected):
             stack.result(position)
+
+
+def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
+    # a node with Dbar - nbar_c active facets has a null basis Z without
+    # columns: every child has more constraints than lifted coordinates
+    cp = dint_cp
+    full = [nd for nd in dint_tree.nodes if nd.active.cardinality == cp.Dbar - cp.nbar_c]
+    assert len(full) == 4
+    for nd in full:
+        assert nd.cache.Z.shape == (cp.Dbar, 0)
+        candidates = candidate_indices(nd.active)
+        stack = region_iterative(cp, nd, candidates)
+        assert stack.reasons == ["singular"] * len(candidates)
+        assert stack.kept.size == 0
+        assert stack.L.shape == (0, 2 * cp.Dbar, cp.n)
+        for position in range(len(candidates)):
+            with pytest.raises(RegionRejected):
+                stack.result(position)
+
+
+def test_iterative_retry_after_singular_update(dint_cp, dint_tree):
+    # a large eps makes the Woodbury test reject part of the root's stack;
+    # the children kept must be those solved without the rejected ones
+    cp, root = dint_cp, dint_tree.nodes[0]
+    candidates = candidate_indices(root.active)
+    loose = region_iterative(cp, root, candidates)
+    stack = region_iterative(cp, root, candidates, eps=0.3)
+    assert 0 < stack.kept.size < loose.kept.size
+    assert set(stack.kept) < set(loose.kept)
+    again = region_iterative(cp, root, [candidates[p] for p in stack.kept], eps=0.3)
+    assert again.reasons == [None] * stack.kept.size
+    for got, want in [(stack.u, again.u), (stack.S, again.S), (stack.L, again.L), (stack.l, again.l)]:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1.0 + np.abs(want).max()))
+
+
+def test_positive_definite_mixed_stack(rng):
+    # one failing Cholesky sends the stack to the one-by-one fallback
+    M = rng.normal(size=(4, 4))
+    H = np.stack([
+        M @ M.T + np.eye(4),  # positive definite
+        np.diag([1.0, -1.0, 2.0, 3.0]),  # indefinite
+        np.outer(M[0], M[0]),  # singular, rank 1
+        np.diag([1.0, 1.0, 1.0, 1e-12]),  # factors, but its last pivot is below the tolerance
+        np.eye(4) + 0.1 * (M - M.T),  # positive definite, not symmetric
+    ])
+
+    def alone(h):
+        try:
+            C = np.linalg.cholesky(0.5 * (h + h.T))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.diag(C).min() ** 2 > PD_PIVOT_TOL)
+
+    mask = _positive_definite(H)
+    assert mask.tolist() == [alone(h) for h in H] == [True, False, False, False, True]
+
+
+def test_one_sparse_null_basis_call_per_stack(monkeypatch, paper_cp):
+    # the zero-pivot test runs before the kernel, so no stack calls it twice
+    calls = {"stacks": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(explorer, "region_iterative", counted("stacks", explorer.region_iterative))
+    monkeypatch.setattr(regions, "sparse_null_basis", counted("kernel", regions.sparse_null_basis))
+    explore(paper_cp(2), variant="iter")
+    assert calls["stacks"] > 0
+    assert calls["kernel"] == calls["stacks"]
 
 
 def test_invert_masks_singular_items(rng):
@@ -285,10 +357,3 @@ def test_reduced_active_set_saturated_input(dint_cp, dint_tree):
     np.testing.assert_allclose(cp.E_poly[j], 0, atol=1e-12)
     assert abs(cp.A_poly[j] @ pinned[0].law.ku - cp.b_poly[j]) <= 1e-9
 
-
-def test_ared_monotone_along_edges(dint_tree, dint_cp):
-    for nd in dint_tree.nodes:
-        if nd.parent is None:
-            continue
-        parent = dint_tree.nodes[nd.parent]
-        assert set(parent.ared) <= set(nd.ared)

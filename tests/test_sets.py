@@ -125,6 +125,8 @@ def test_chebyshev_zero_rows():
     assert chebyshev(P).radius == pytest.approx(1.0, abs=1e-9)
     bad = Polytope(np.zeros((1, 2)), np.array([-1.0]))
     assert chebyshev(bad).radius == -np.inf
+    # a stack in which every polytope has one leaves no LP to solve
+    assert is_empty_stack(np.zeros((3, 1, 2)), -np.ones((3, 1))).tolist() == [True] * 3
 
 
 def test_is_empty_threshold():
