@@ -11,13 +11,14 @@ Problem files are JSON with row-major nested arrays::
       "options": {"radiusThreshold": 1e-6, "eps": 1e-10, "variant": "iter"}
     }
 
-Exit codes: 0 success, 2 infeasible problem, 3 parse/validation error (also
-on a command-line usage error, when condensing fails, e.g. a terminal
-recurrence that does not converge, on a NaN or infinite problem entry, a gain
-``K`` that is not m x n, a horizon or recurrence ``maxIter`` that is not an
-integer, a value of the wrong JSON type, and on a NaN,
-infinite or negative radius threshold, a NaN or negative eps, or a negative
-``--steps``).
+Exit codes: 0 success, 1 the solver stopped without an answer (a simplex hit
+its pivot cap in ``solve`` or ``bench``), 2 infeasible problem, 3
+parse/validation error (also on a command-line usage error, when condensing
+fails, e.g. a terminal recurrence that does not converge, on a NaN or infinite
+problem entry, a gain ``K`` that is not m x n, a horizon or recurrence
+``maxIter`` that is not an integer, a value of the wrong JSON type, and on a
+NaN, infinite or negative radius threshold, a NaN or negative eps, or a
+negative ``--steps``).
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ from czempc.explorer import (
     export_json,
     import_json,
 )
+from czempc.lp import SimplexStalled
 from czempc.runtime import InfeasibleError, evaluate, locate, simulate
 from czempc.sets import ConstrainedZonotope, DEFAULT_RADIUS_THRESHOLD, DimensionMismatch, Zonotope
 
 EXIT_OK = 0
+EXIT_STOPPED = 1
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 
@@ -154,12 +157,19 @@ def _load_problem(path: str, n_override: int | None):
         raise SystemExit(EXIT_PARSE)
 
 
+def _stopped(exc: SimplexStalled) -> int:
+    print(f"error: the solver stopped without an answer: {exc}", file=sys.stderr)
+    return EXIT_STOPPED
+
+
 def _condense(problem: MpcProblem):
     try:
         return build_condensed_qp(problem)
     except (NotStable, NotInvertible, NotPositiveDefinite, DimensionMismatch, NotConverged) as exc:
         print(f"error: invalid problem: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    except SimplexStalled as exc:  # the terminal-set recurrence's support LPs
+        raise SystemExit(_stopped(exc))
 
 
 def _load_tree(path: str):
@@ -197,6 +207,8 @@ def cmd_solve(args) -> int:
     except InfeasibleProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SimplexStalled as exc:
+        return _stopped(exc)
     with open(args.out, "w") as fh:
         fh.write(export_json(tree))
     if args.dot:
@@ -282,6 +294,8 @@ def cmd_bench(args) -> int:
             except ResourceCap:  # reported in the table, not fatal
                 rows.append(f"{variant},{N},cap_exceeded,,,,")
                 continue
+            except SimplexStalled as exc:
+                return _stopped(exc)
             dt = time.perf_counter() - t0
             st = tree.stats
             rows.append(f"{variant},{N},{tree.num_regions},{dt:.6f},{st.numerical},{st.empty},{st.discovered}")

@@ -106,11 +106,6 @@ class CondensedProblem:
     n: int
     m: int
     N: int
-    A_d: np.ndarray
-    B_d: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
     Qtilde: np.ndarray  # (N m) x (N m), PD
     Htilde: np.ndarray  # n x (N m)
     A_poly: np.ndarray  # q x (N m)
@@ -299,11 +294,6 @@ def build_condensed_qp(p: MpcProblem) -> CondensedProblem:
         n=n,
         m=m,
         N=N,
-        A_d=p.A_d,
-        B_d=p.B_d,
-        Q=p.Q,
-        R=p.R,
-        S=p.S,
         Qtilde=Qt,
         Htilde=Ht,
         A_poly=A_poly,

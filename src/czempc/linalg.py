@@ -1,11 +1,12 @@
 """Dense matrix kernels used by the region solver.
 
-Provides orthonormal and sparse null-space bases, the rank-2 Woodbury
-inverse update that tracks a single active-set insertion, the Greville-style
-pseudoinverse update for a matrix gaining one column. The updates work on
-stacks (a leading axis of candidates), so one parent is updated into all of
-its children at once, and keep each result as factors that multiply a
-right-hand side without forming the updated matrix.
+Provides orthonormal and sparse null-space bases and the rank-2 Woodbury
+inverse update that tracks a single active-set insertion. The update works
+on stacks (a leading axis of candidates), so one parent is updated into all
+of its children at once, and keeps each result as factors that multiply a
+matrix from either side without forming the updated inverse. The dense
+single-column Greville pseudoinverse step is not used by the region solver,
+which reads its multipliers off the KKT inverse.
 
 All functions are pure; inputs are never modified in place.
 """
@@ -27,17 +28,6 @@ class SingularUpdateError(np.linalg.LinAlgError):
     def __init__(self, message: str, mask: np.ndarray):
         super().__init__(message)
         self.mask = mask
-
-
-def _insert_rows(M: np.ndarray, new: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Stack ``M`` (B, p, n) with row ``new[b]`` inserted at index ``k[b]`` of ``M[b]``."""
-    B, p, n = M.shape
-    out = np.empty((B, p + 1, n))
-    item = np.arange(B)
-    rows = np.arange(p)
-    out[item[:, None], rows + (rows >= k[:, None])] = M
-    out[item, k] = new
-    return out
 
 
 def null_space_qr(M: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
@@ -90,9 +80,12 @@ class Rank2InverseUpdate:
     """A stack of updated inverses kept as factors: item ``b`` is
     ``inv(P_b (K + U_b W_b)) = (Kinv - KU[b] @ X[b])[:, order[b]]``.
 
-    ``update @ V`` multiplies each inverse by its ``V[b]`` (B, n, r) without
-    forming it; ``update[b]`` is inverse ``b`` as a dense matrix.
+    ``update @ V`` multiplies each inverse by its ``V[b]`` (B, n, r) and
+    ``V @ update`` multiplies ``V[b]`` (B, r, n) by it, without forming it;
+    ``update[b]`` is inverse ``b`` as a dense matrix.
     """
+
+    __array_ufunc__ = None  # ``ndarray @ update`` defers to ``__rmatmul__``
 
     Kinv: np.ndarray  # n x n, shared
     KU: np.ndarray  # B x n x 2
@@ -103,6 +96,10 @@ class Rank2InverseUpdate:
         Vs = np.empty_like(V)  # P^T V: row q of V goes to row order[q]
         np.put_along_axis(Vs, self.order[:, :, None], V, axis=1)
         return self.Kinv @ Vs - self.KU @ (self.X @ Vs)
+
+    def __rmatmul__(self, V: np.ndarray) -> np.ndarray:
+        M = V @ self.Kinv - (V @ self.KU) @ self.X
+        return np.take_along_axis(M, self.order[:, None, :], axis=2)  # column q is column order[q]
 
     def __getitem__(self, b: int) -> np.ndarray:
         return (self.Kinv - self.KU[b] @ self.X[b])[:, self.order[b]]
@@ -151,74 +148,20 @@ def woodbury_rank2_inverse_update(
     return woodbury_rank2_update(Kinv, np.asarray(U)[None], np.asarray(W)[None], src, dst, eps)[0]
 
 
-@dataclass(frozen=True)
-class PinvColumnInsert:
-    """A stack of pseudoinverses of ``T`` with one column inserted, kept as
-    factors: item ``b`` is ``Tpinv - d[b] b[b]'`` with the row ``b[b]``
-    inserted at ``k[b]``.
-
-    ``update @ G`` multiplies each pseudoinverse by its ``G[b]`` (B, n, r)
-    without forming it; ``update[b]`` is pseudoinverse ``b`` as a dense
-    matrix.
-    """
-
-    Tpinv: np.ndarray  # p x n, shared
-    d: np.ndarray  # B x p
-    b: np.ndarray  # B x n
-    k: np.ndarray  # B
-
-    def __matmul__(self, G: np.ndarray) -> np.ndarray:
-        bG = self.b[:, None, :] @ G
-        return _insert_rows(self.Tpinv @ G - self.d[:, :, None] * bG, bG[:, 0], self.k)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return np.insert(self.Tpinv - np.outer(self.d[i], self.b[i]), self.k[i], self.b[i], axis=0)
-
-
-def greville_update(Tpinv: np.ndarray, T: np.ndarray, new_rows: np.ndarray, k, eps: float = 1e-10):
-    """Pseudoinverses of ``T`` augmented with the column ``new_rows[b]`` at
-    position ``k[b]``, for a stack ``b``, given ``Tpinv = pinv(T)``.
-
-    The update costs only matrix-vector products. A column inserted at ``k``
-    (0-based) of ``T`` is a row inserted at ``k`` of the pseudoinverse.
-    Returns a :class:`PinvColumnInsert`.
-    """
-    Tpinv = np.asarray(Tpinv, dtype=float)
-    T = np.asarray(T, dtype=float)
-    Y = np.asarray(new_rows, dtype=float)
-    d = Y @ Tpinv.T
-    c = Y - d @ T.T
-    cc = np.einsum("bi,bi->b", c, c)
-    independent = np.sqrt(cc) > eps
-    b = np.where(
-        independent[:, None],
-        c / np.where(independent, cc, 1.0)[:, None],
-        (d @ Tpinv) / (1.0 + np.einsum("bi,bi->b", d, d))[:, None],
-    )
-    return PinvColumnInsert(Tpinv, d, b, np.broadcast_to(np.asarray(k), (Y.shape[0],)))
-
-
 def greville_append_row_pinv(
-    Tpinv: np.ndarray,
+    P: np.ndarray,
     T: np.ndarray,
     new_row: np.ndarray,
     k: int,
     eps: float = 1e-10,
 ) -> np.ndarray:
     """Pseudoinverse of ``T`` augmented with the column ``new_row.T`` at
-    position ``k``, as a dense matrix: :func:`greville_update` on a stack of
-    one."""
-    return greville_update(Tpinv, T, np.asarray(new_row)[None], k, eps)[0]
-
-
-def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles (radians) between the column spans of ``A`` and ``B``."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros(0)
-    Qa, _ = np.linalg.qr(A)
-    Qb, _ = np.linalg.qr(B)
-    # sine-based formulation keeps full accuracy for near-zero angles
-    sv = np.linalg.svd(Qa - Qb @ (Qb.T @ Qa), compute_uv=False)
-    return np.arcsin(np.clip(sv, -1.0, 1.0))
+    position ``k``, given ``P = pinv(T)``, by one Greville step: a column
+    inserted at ``k`` of ``T`` is a row inserted at ``k`` of the
+    pseudoinverse, and the update costs only matrix-vector products."""
+    y = np.asarray(new_row, dtype=float).ravel()
+    d = P @ y
+    c = y - T @ d
+    cc = c @ c
+    b = c / cc if np.sqrt(cc) > eps else (d @ P) / (1.0 + d @ d)
+    return np.insert(P - np.outer(d, b), k, b, axis=0)

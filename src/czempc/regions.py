@@ -3,9 +3,10 @@
 Each active set over the lifted hypercube facets yields (when accepted) an
 affine control law and a polyhedral critical region, obtained from the
 second-order KKT system of the lifted QP. Regions can be computed from
-scratch (one SVD for the null basis and the pseudoinverse, a dense inverse)
-or by the low-rank updates that track a single constraint insertion; either
-way all children of one parent are solved as one stack.
+scratch (one SVD for the null basis, a dense inverse) or by the low-rank
+updates that track a single constraint insertion; either way all children of
+one parent are solved as one stack, and the multipliers are read off the KKT
+inverse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from czempc.condense import CondensedProblem
 from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces null_space_qr and the dense updates by these names)
     SingularUpdateError,
     greville_append_row_pinv,
-    greville_update,
     null_space_qr,
     sparse_null_basis,
     woodbury_rank2_inverse_update,
@@ -137,7 +137,6 @@ class KktCache:
 
     Z: np.ndarray  # Dbar x (Dbar - nbar_c - n_A), basis of null([F_D; Y_A])
     Kinv: np.ndarray  # Dbar x Dbar
-    Tpinv: np.ndarray  # pseudoinverse of T = [F_D' Y_A']
     kappa1: np.ndarray
     kappa2: np.ndarray
 
@@ -175,8 +174,8 @@ class RegionStack:
     Position ``p`` of the candidates is active set ``base + {added[p]}``
     (just ``base`` where ``added[p] < 0``). ``reasons[p]`` is the rejection
     reason of a candidate, or None; ``kept`` lists the positions that passed,
-    and every stack below holds those, in the same order. ``Kinv`` and
-    ``Tpinv`` are arrays or factored updates: either takes ``@`` per item
+    and every stack below holds those, in the same order. ``Kinv`` is an
+    array or a factored update: either takes ``@`` per item from both sides
     and ``[i]`` for a dense item. ``u[i] @ [1; x0]`` is the law and
     ``S[i] @ [1; x0]`` the duals ``[lambda; mu_A]``; ``L``/``l`` are the
     region rows the emptiness test reads.
@@ -189,7 +188,6 @@ class RegionStack:
     kept: np.ndarray
     Z: np.ndarray
     Kinv: object
-    Tpinv: object
     kappa: np.ndarray
     u: np.ndarray
     S: np.ndarray
@@ -209,19 +207,18 @@ class RegionStack:
         duals = DualSolution(self.S[i, :, 1:].copy(), self.S[i, :, 0].copy(), cp.nbar_c)
         region = CriticalRegion(self.L[i].copy(), self.l[i].copy())
         cache = KktCache(
-            self.Z[i].copy(), np.array(self.Kinv[i]), np.array(self.Tpinv[i]),
-            self.kappa[i, :, 0].copy(), self.kappa[i, :, 1:].copy(),
+            self.Z[i].copy(), np.array(self.Kinv[i]), self.kappa[i, :, 0].copy(), self.kappa[i, :, 1:].copy(),
         )
         return RegionResult(active, law, region, duals, cache)
 
 
-def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, Tpinv, inactive) -> RegionStack:
+def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, inactive) -> RegionStack:
     """Laws, duals and region rows of a stack of KKT systems.
 
-    ``Z`` (B, Dbar, k), the inverses ``Kinv``, the pseudoinverses ``Tpinv``
-    and the inactive facet indices ``inactive`` (B, 2 Dbar - n_A) belong to
-    the kept candidates. Every map is affine in ``x0`` and is carried as one
-    matrix with the constant in column 0.
+    ``Z`` (B, Dbar, k), the inverses ``Kinv`` and the inactive facet indices
+    ``inactive`` (B, 2 Dbar - n_A) belong to the kept candidates. Every map
+    is affine in ``x0`` and is carried as one matrix with the constant in
+    column 0.
     """
     B, k, nc, n = Z.shape[0], Z.shape[2], cp.nbar_c, cp.n
     # right-hand side [-Z'(GQc + GHt x0); theta_D(x0); 1] of the KKT system
@@ -234,10 +231,12 @@ def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, Tpinv, in
     Kk = Kinv @ kappa
     u = cp.G_D @ Kk
     u[:, :, 0] += cp.c_D
-    # stationarity solved for [lambda; mu_A] through the pseudoinverse of T
+    # stationarity grad + T [lambda; mu_A] = 0 with T = [F_D' Y_A']: the rows
+    # k: of K = [Z'GQG; T'] give T' Kinv[:, k:] = I, and Z'grad = 0 puts grad
+    # in range(T), so [lambda; mu_A] = -Kinv[:, k:]' grad exactly
     grad = cp.G_D.T @ (cp.Qtilde @ u)
     grad[:, :, 1:] += cp.GHt
-    S = -(Tpinv @ grad)
+    S = -(grad.swapaxes(1, 2) @ Kinv)[:, :, k:].swapaxes(1, 2)
     # rows: inactive facets Y_I xi*(x0) <= 1, then mu_A(x0) >= 0; row i of Y
     # is e_i for i < Dbar and -e_(i - Dbar) after
     rows = inactive.shape[1]
@@ -248,7 +247,7 @@ def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, Tpinv, in
     l = np.empty((B, L.shape[1]))
     l[:, :rows] = 1.0 - YKk[:, :, 0]
     l[:, rows:] = S[:, nc:, 0]
-    return RegionStack(cp, base, added, reasons, kept, Z, Kinv, Tpinv, kappa, u, S, L, l)
+    return RegionStack(cp, base, added, reasons, kept, Z, Kinv, kappa, u, S, L, l)
 
 
 def _reject(reasons: list, live: np.ndarray, bad: np.ndarray, reason: str) -> np.ndarray:
@@ -279,11 +278,11 @@ def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionS
     one.
 
     One SVD ``T = U diag(s) V'`` of each ``T = [F_D' Y_A']`` gives the rank
-    test (``singular`` unless ``s_min > SVD_RTOL * s_max``), the orthonormal
-    null basis ``Z = U[:, r:]`` of ``[F_D; Y_A]`` and the pseudoinverse
-    ``V diag(1/s) U[:, :r]'``. A candidate is rejected with ``second_order``
-    when its reduced Hessian ``Z'GQG Z`` fails the Cholesky test and with
-    ``singular`` when ``K = [Z'GQG; F_D; Y_A]`` cannot be inverted.
+    test (``singular`` unless ``s_min > SVD_RTOL * s_max``) and the
+    orthonormal null basis ``Z = U[:, r:]`` of ``[F_D; Y_A]``. A candidate
+    is rejected with ``second_order`` when its reduced Hessian ``Z'GQG Z``
+    fails the Cholesky test and with ``singular`` when
+    ``K = [Z'GQG; F_D; Y_A]`` cannot be inverted.
     """
     idx = np.asarray(added, dtype=int)
     act = np.broadcast_to(np.array(base.indices, dtype=int), (idx.size, base.cardinality))
@@ -299,23 +298,21 @@ def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionS
         act, r = act[:0, : cp.Dbar - nc], cp.Dbar
     Y_A = cp.Y[act]  # (B, n_A, Dbar)
     T = np.concatenate([np.broadcast_to(cp.F_D.T, (live.size, cp.Dbar, nc)), Y_A.swapaxes(1, 2)], axis=2)
-    U, s, Vt = np.linalg.svd(T, full_matrices=True)
+    U, s, _ = np.linalg.svd(T, full_matrices=True)
     ok = _reject(reasons, live, ~(s.min(axis=1, initial=np.inf) > SVD_RTOL * s.max(axis=1, initial=0.0)), "singular")
-    live, Y_A, U, s, Vt = live[ok], Y_A[ok], U[ok], s[ok], Vt[ok]
-    Z = U[:, :, r:]
-    Tpinv = (Vt.swapaxes(1, 2) / s[:, None, :]) @ U[:, :, :r].swapaxes(1, 2)
+    live, Y_A, Z = live[ok], Y_A[ok], U[ok, :, r:]
     ZG = Z.swapaxes(1, 2) @ cp.GQG
     ok = _reject(reasons, live, ~_positive_definite(ZG @ Z), "second_order")
-    live, Y_A, Z, Tpinv, ZG = live[ok], Y_A[ok], Z[ok], Tpinv[ok], ZG[ok]
+    live, Y_A, Z, ZG = live[ok], Y_A[ok], Z[ok], ZG[ok]
     K = np.concatenate([ZG, np.broadcast_to(cp.F_D, (live.size, nc, cp.Dbar)), Y_A], axis=1)
     Kinv, bad = _invert(K)
     if bad.any():
         ok = _reject(reasons, live, bad, "singular")
-        live, Z, Tpinv, Kinv = live[ok], Z[ok], Tpinv[ok], Kinv[ok]
+        live, Z, Kinv = live[ok], Z[ok], Kinv[ok]
     inactive = np.ones((live.size, 2 * cp.Dbar), dtype=bool)
     inactive[np.arange(live.size)[:, None], act[live]] = False
     inactive = np.nonzero(inactive)[1].reshape(live.size, 2 * cp.Dbar - act.shape[1])
-    return _finish(cp, base, idx, reasons, live, Z, Kinv, Tpinv, inactive)
+    return _finish(cp, base, idx, reasons, live, Z, Kinv, inactive)
 
 
 def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
@@ -325,22 +322,21 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
 
     For each child the null basis shrinks by one column (sparse kernel of
     the row ``z = y_i Zp`` with pivot ``j = argmax |z|``, so
-    ``Zc = Zp[:, sigma] + Zp[:, j] v'``), the pseudoinverse gains a column
-    (Greville step), and the KKT inverse absorbs a rank-2 correction plus a
-    row move (Woodbury identity). A child is rejected with ``second_order``
-    when its reduced Hessian fails the Cholesky test and with ``singular``
-    when ``z`` vanishes or the 2x2 update factor degenerates.
+    ``Zc = Zp[:, sigma] + Zp[:, j] v'``) and the KKT inverse absorbs a
+    rank-2 correction plus a row move (Woodbury identity). A child is
+    rejected with ``second_order`` when its reduced Hessian fails the
+    Cholesky test and with ``singular`` when ``z`` vanishes or the 2x2 update
+    factor degenerates.
     """
     active = parent.active
     if any(active.contains(int(i)) for i in new_indices):
         raise ValueError("index already active")
     idx = np.asarray(new_indices, dtype=int)
     Zp, kp, nc = parent.cache.Z, parent.cache.Z.shape[1], cp.nbar_c
+    if kp == 0:  # K cannot stay square past this depth: every child has more
+        return region_from_scratch(cp, active, idx)  # constraints than coordinates
     reasons = [None] * idx.size
     live = np.arange(idx.size)  # candidate positions still in the stack
-    if kp == 0:  # K cannot stay square past this depth
-        live = live[_reject(reasons, live, np.ones(idx.size, dtype=bool), "singular")]
-        Zp = np.zeros((cp.Dbar, 1))  # keeps the empty stack's shapes valid
     z = cp.Y[idx[live]] @ Zp
     j = np.abs(z).argmax(axis=1)
     ok = _reject(reasons, live, np.abs(z[np.arange(live.size), j]) <= PIVOT_TOL, "singular")
@@ -349,27 +345,24 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     ok = _reject(reasons, live, ~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
     live, z, j, Zc = live[ok], z[ok], j[ok], Zc[ok]
 
-    pos = np.searchsorted(active.indices, idx[live])  # sorted rank of the new index
     rows = np.arange(live.size)
     U = np.zeros((live.size, cp.Dbar, 2))
     U[rows, j, 0] = 1.0
     U[:, :kp, 1] = -z / z[rows, j][:, None]
     W = np.stack([cp.Y[idx[live]], Zp[:, j].T @ cp.GQG], axis=1)
-    target = (kp - 1) + nc + pos
+    target = (kp - 1) + nc + np.searchsorted(active.indices, idx[live])  # the new row's place among Y_A's
     try:
         Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
     except SingularUpdateError as exc:
         ok = _reject(reasons, live, exc.mask, "singular")
-        live, Zc, U, W, j, target, pos = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok], pos[ok]
+        live, Zc, U, W, j, target = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok]
         Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
 
-    T = np.hstack([cp.F_D.T, cp.Y[list(active.indices)].T])  # the parent's [F_D' Y_A']
-    Tpinv = greville_update(parent.cache.Tpinv, T, cp.Y[idx[live]], nc + pos)
     # the child's inactive facets: the parent's minus the new index
     inactive = active.inactive()
     r = np.arange(inactive.size - 1)
     drop = np.searchsorted(inactive, idx[live])[:, None]
-    return _finish(cp, active, idx, reasons, live, Zc, Kinv, Tpinv, inactive[r + (r >= drop)])
+    return _finish(cp, active, idx, reasons, live, Zc, Kinv, inactive[r + (r >= drop)])
 
 
 def reduced_active_set(cp: CondensedProblem, law: AffineLaw, tol: float = ARED_TOL) -> tuple:

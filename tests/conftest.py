@@ -64,9 +64,14 @@ def dint_doc():
 
 
 @pytest.fixture(scope="session")
-def dint_cp(dint_doc):
+def dint_problem(dint_doc):
     problem, _ = parse_problem(dint_doc, None)
-    return build_condensed_qp(problem)
+    return problem
+
+
+@pytest.fixture(scope="session")
+def dint_cp(dint_problem):
+    return build_condensed_qp(dint_problem)
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from czempc import cli
-from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main, parse_problem
+from czempc import cli, lp
+from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_STOPPED, main, parse_problem
 from czempc.condense import MpcProblem, TerminalRecurrence, build_terminal_set
 from czempc.explorer import explore, import_json
 from czempc.regions import AffineLaw, reduced_active_set
@@ -489,6 +489,30 @@ def test_terminal_set_failure_exits_parse(tmp_path, capsys, problem, recurrence,
     assert exc.value.code == EXIT_PARSE
     err = capsys.readouterr().err.strip()
     assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("terminal", ["box", "recurrence"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_stalled_simplex_exits_1(tmp_path, capsys, monkeypatch, command, terminal):
+    # a simplex that hits its pivot cap, in the emptiness LPs of explore or in
+    # the support LPs of the terminal-set recurrence, ends the run with one
+    # error line and exit 1, not a traceback
+    doc = json.loads(DINT_PROBLEM.read_text())
+    if terminal == "recurrence":
+        doc["T"] = {"recurrence": {"K": "lqr"}}
+    path, out = tmp_path / "problem.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(lp, "_MAX_ITER", 3)
+    argv = {"solve": ["solve", str(path), str(out)],
+            "bench": ["bench", str(path), "--nmin", "2", "--nmax", "2", "--out", str(out)]}[command]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_STOPPED
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the solver stopped without an answer")
+    assert not out.exists()
 
 
 def test_missing_file(tmp_path):

@@ -5,9 +5,9 @@ from czempc.linalg import (
     SingularUpdateError,
     greville_append_row_pinv,
     null_space_qr,
-    principal_angles,
     sparse_null_basis,
     woodbury_rank2_inverse_update,
+    woodbury_rank2_update,
 )
 
 
@@ -55,6 +55,19 @@ def test_woodbury_rank2_update_matches_direct(rng):
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_rank2_update_products_match_dense(rng):
+    # a stack of updates multiplies from either side like its dense inverses
+    n, B = 7, 3
+    K = rng.normal(size=(n, n)) + 3 * np.eye(n)
+    update = woodbury_rank2_update(np.linalg.inv(K), rng.normal(size=(B, n, 2)), rng.normal(size=(B, 2, n)),
+                                   [0, 3, 6], [5, 3, 1])
+    dense = np.stack([update[b] for b in range(B)])
+    V = rng.normal(size=(B, n, 4))
+    np.testing.assert_allclose(update @ V, dense @ V, atol=1e-12)
+    Vt = V.swapaxes(1, 2)
+    np.testing.assert_allclose(Vt @ update, Vt @ dense, atol=1e-12)
+
+
 def test_woodbury_rank2_update_singular():
     n = 4
     K = np.eye(n)
@@ -81,23 +94,3 @@ def test_greville_append_row_pinv_dependent_column(rng):
     got = greville_append_row_pinv(np.linalg.pinv(T), T, y, 1)
     want = np.linalg.pinv(np.insert(T, 1, y, axis=1))
     np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_principal_angles_identical_span(rng):
-    A = rng.normal(size=(6, 3))
-    B = A @ rng.normal(size=(3, 3))  # same span, different basis
-    assert np.max(principal_angles(A, B)) < 1e-12
-
-
-def test_principal_angles_orthogonal():
-    A = np.eye(4)[:, :2]
-    B = np.eye(4)[:, 2:]
-    np.testing.assert_allclose(principal_angles(A, B), np.pi / 2, atol=1e-12)
-
-
-def test_principal_angles_known_rotation():
-    t = 1e-7
-    A = np.array([[1.0], [0.0]])
-    B = np.array([[np.cos(t)], [np.sin(t)]])
-    # small angles must be resolved well below the arccos noise floor
-    np.testing.assert_allclose(principal_angles(A, B), [t], rtol=1e-6)

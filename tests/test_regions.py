@@ -78,8 +78,9 @@ def test_iterative_matches_scratch_one_level(dint_cp):
 @pytest.mark.parametrize("case", ["paper4state-N2", "cz-n1"])
 def test_children_stack_matches_scratch(case, paper_doc):
     # every candidate child of every node, updated as one stack per parent,
-    # against its own from-scratch solve; cz-n1 swaps in the LQR-invariant CZ
-    # terminal set (26 equality rows)
+    # against its own from-scratch solve, and its duals against the
+    # pseudoinverse reference; cz-n1 swaps in the LQR-invariant CZ terminal
+    # set (26 equality rows)
     doc = dict(paper_doc, N=2) if case == "paper4state-N2" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
     cp = build_condensed_qp(parse_problem(doc)[0])
     tree = explore(cp, variant="iter")
@@ -101,8 +102,9 @@ def test_children_stack_matches_scratch(case, paper_doc):
                 continue
             it = stack.result(position)
             assert it.active == child
+            ref = scratch_reference(cp, child)
             for got, want in [(it.law.Ku, sc.law.Ku), (it.law.ku, sc.law.ku), (it.region.L, sc.region.L),
-                              (it.region.l, sc.region.l)]:
+                              (it.region.l, sc.region.l), (it.duals.S, ref.duals.S), (it.duals.s, ref.duals.s)]:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * (1.0 + np.abs(want).max()))
             accepted += 1
     assert accepted > 100 and rejected > 100
@@ -110,8 +112,9 @@ def test_children_stack_matches_scratch(case, paper_doc):
 
 def scratch_reference(cp, active):
     """Reference from-scratch solve of one candidate, independent of the
-    stacked SVD: pivoted-QR null basis, dense inverse, SVD pseudoinverse,
-    then laws and region rows as a stack of one."""
+    stacked SVD: pivoted-QR null basis, dense inverse, laws and region rows
+    as a stack of one, then the duals ``-pinv(T) grad`` through the SVD
+    pseudoinverse of ``T = [F_D' Y_A']`` and the region rows they bound."""
     nA = active.cardinality
     if nA > cp.Dbar - cp.nbar_c:
         raise RegionRejected("singular")
@@ -126,8 +129,13 @@ def scratch_reference(cp, active):
         Kinv = np.linalg.inv(np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A]))
     except np.linalg.LinAlgError:
         raise RegionRejected("singular") from None
-    stack = _finish(cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None],
-                    np.linalg.pinv(T)[None], active.inactive()[None])
+    stack = _finish(cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None], active.inactive()[None])
+    grad = cp.G_D.T @ (cp.Qtilde @ stack.u[0])
+    grad[:, 1:] += cp.GHt
+    S = -np.linalg.pinv(T) @ grad
+    stack.S[0] = S
+    rows = 2 * cp.Dbar - nA  # the inactive facets come first, then mu_A >= 0
+    stack.L[0, rows:], stack.l[0, rows:] = -S[cp.nbar_c :, 1:], S[cp.nbar_c :, 0]
     return stack.result(0)
 
 

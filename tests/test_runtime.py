@@ -120,26 +120,30 @@ def test_evaluate_matches_law(dint_tree):
     np.testing.assert_allclose(u0, dint_tree.nodes[node_id].law(x0)[: dint_tree.m])
 
 
-def test_simulate_regulates_to_origin(dint_cp, dint_tree):
+def _dynamics(problem):
+    return problem.A_d, problem.B_d, problem.Q, problem.R
+
+
+def test_simulate_regulates_to_origin(dint_problem, dint_tree):
     x0 = np.array([2.0, -1.0])
-    traj = simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, x0, steps=25)
+    traj = simulate(dint_tree, *_dynamics(dint_problem), x0, steps=25)
     assert traj.states.shape == (26, 2)
     assert traj.inputs.shape == (25, 1)
     # dynamics hold exactly along the trajectory
     for k in range(25):
         np.testing.assert_allclose(
-            traj.states[k + 1], dint_cp.A_d @ traj.states[k] + dint_cp.B_d @ traj.inputs[k]
+            traj.states[k + 1], dint_problem.A_d @ traj.states[k] + dint_problem.B_d @ traj.inputs[k]
         )
         assert np.max(np.abs(traj.inputs[k])) <= 1 + 1e-9
     assert np.linalg.norm(traj.states[-1]) < 1e-3
     assert traj.costs[0] == pytest.approx(
-        float(x0 @ dint_cp.Q @ x0 + traj.inputs[0] @ dint_cp.R @ traj.inputs[0])
+        float(x0 @ dint_problem.Q @ x0 + traj.inputs[0] @ dint_problem.R @ traj.inputs[0])
     )
 
 
-def test_simulate_infeasible_start(dint_cp, dint_tree):
+def test_simulate_infeasible_start(dint_problem, dint_tree):
     with pytest.raises(InfeasibleError):
-        simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, np.array([30.0, 0.0]), 3)
+        simulate(dint_tree, *_dynamics(dint_problem), np.array([30.0, 0.0]), 3)
 
 
 def test_polyhedral_feasible(dint_cp):
@@ -208,8 +212,8 @@ def test_oracle_size_cap(dint_cp):
         ActiveSubsetOracle(dint_cp, size_cap=5)
 
 
-def test_simulate_rejects_negative_steps(dint_tree, dint_cp):
+def test_simulate_rejects_negative_steps(dint_tree, dint_problem):
     with pytest.raises(ValueError):
-        simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, np.zeros(2), steps=-1)
-    traj = simulate(dint_tree, dint_cp.A_d, dint_cp.B_d, dint_cp.Q, dint_cp.R, np.zeros(2), steps=0)
+        simulate(dint_tree, *_dynamics(dint_problem), np.zeros(2), steps=-1)
+    traj = simulate(dint_tree, *_dynamics(dint_problem), np.zeros(2), steps=0)
     assert traj.states.shape == (1, 2) and traj.inputs.shape[0] == 0
