@@ -16,9 +16,11 @@ its pivot cap in ``solve`` or ``bench``), 2 infeasible problem, 3
 parse/validation error (also on a command-line usage error, when condensing
 fails, e.g. a terminal recurrence that does not converge, on a NaN or infinite
 problem entry, a gain ``K`` that is not m x n, a horizon or recurrence
-``maxIter`` that is not an integer, a value of the wrong JSON type, and on a
-NaN, infinite or negative radius threshold, a NaN or negative eps, or a
-negative ``--steps``).
+``maxIter`` that is not an integer, ``options`` that is not an object, a
+file's radius threshold, eps or recurrence ``tol`` that is not a finite JSON
+number (a boolean or a string is not), a ``tol`` that is not > 0, any other
+value of the wrong JSON type, and on a NaN, infinite or negative radius
+threshold, a NaN or negative eps, or a negative ``--steps``).
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ def _integer(value, name) -> int:
     return int(value)
 
 
+def _number(value, name) -> float:
+    """A finite JSON number; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ProblemFileError(f"{name} must be a finite number, not {type(value).__name__!r} {value!r}")
+    return float(value)
+
+
 def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
     """Build an MpcProblem plus the option dict from a parsed JSON document.
     Every array must be finite and a matrix gain ``K`` must be m x n."""
@@ -124,7 +133,10 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
                     raise ProblemFileError(f"unknown gain directive {gain!r}; use \"lqr\" or a matrix")
             else:
                 gain = np.atleast_2d(_finite(gain, "K"))
-            T = TerminalRecurrence(gain, _integer(rec.get("maxIter", 50), "T.recurrence.maxIter"), float(rec.get("tol", 1e-8)))
+            tol = _number(rec.get("tol", 1e-8), "T.recurrence.tol")
+            if not tol > 0:
+                raise ProblemFileError(f"T.recurrence.tol must be > 0, got {tol!r}")
+            T = TerminalRecurrence(gain, _integer(rec.get("maxIter", 50), "T.recurrence.maxIter"), tol)
         else:
             F = _finite(t_doc.get("F", []), "T.F")
             theta = _finite(t_doc.get("theta", []), "T.theta")
@@ -136,7 +148,9 @@ def parse_problem(doc: dict, n_override: int | None = None) -> tuple:
         raise
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ProblemFileError(str(exc)) from exc
-    options = doc.get("options", {}) if isinstance(doc.get("options", {}), dict) else {}
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ProblemFileError(f"options must be an object, got {options!r}")
     return problem, options
 
 
@@ -189,10 +203,10 @@ def _solve_options(options: dict, args) -> dict:
     try:
         radius = args.radius_threshold
         if radius is None:
-            radius = float(options.get("radiusThreshold", DEFAULT_RADIUS_THRESHOLD))
-        eps = args.eps if args.eps is not None else float(options.get("eps", 1e-10))
+            radius = _number(options.get("radiusThreshold", DEFAULT_RADIUS_THRESHOLD), "radius threshold")
+        eps = args.eps if args.eps is not None else _number(options.get("eps", 1e-10), "eps")
         check_thresholds(radius, eps)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: invalid option: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     return {"variant": variant, "radius_threshold": radius, "eps": eps}

@@ -324,16 +324,12 @@ def _build_polyhedral(p: MpcProblem, T: ConstrainedZonotope, pred: PredictionMat
     n, m, N = p.n, p.m, p.N
     HX = zonotope_halfspaces(p.X)
     HU = zonotope_halfspaces(p.U)
-    powers = [np.eye(n)]
-    for _ in range(N):
-        powers.append(p.A_d @ powers[-1])
 
     A_rows, b_rows, E_rows = [], [], []
-    for i in range(N):
-        Bblock = pred.Btilde_0N1[i * n : (i + 1) * n, :]
-        A_rows.append(HX.A @ Bblock)
+    for i in range(N):  # x_i = A^i x0 + (block row i of Btilde_0N1) u
+        A_rows.append(HX.A @ pred.Btilde_0N1[i * n : (i + 1) * n, :])
         b_rows.append(HX.b)
-        E_rows.append(-HX.A @ powers[i])
+        E_rows.append(-HX.A @ pred.Atilde_0N1[i * n : (i + 1) * n, :])
     for i in range(N):
         sel = np.zeros((m, N * m))
         sel[:, i * m : (i + 1) * m] = np.eye(m)
@@ -345,7 +341,7 @@ def _build_polyhedral(p: MpcProblem, T: ConstrainedZonotope, pred: PredictionMat
         HT = zonotope_halfspaces(Zonotope(T.c, T.G))
         A_rows.append(HT.A @ pred.Btilde_N)
         b_rows.append(HT.b)
-        E_rows.append(-HT.A @ powers[N])
+        E_rows.append(-HT.A @ pred.Atilde_N)
     return np.vstack(A_rows), np.concatenate(b_rows), np.vstack(E_rows), has_terminal
 
 

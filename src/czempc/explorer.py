@@ -20,7 +20,6 @@ from czempc.regions import (
     AffineLaw,
     CriticalRegion,
     RegionRejected,
-    RegionResult,
     reduced_active_set,  # noqa: F401 (perfbench/spans.py traces it by this name)
     region_from_scratch,
     region_iterative,
@@ -45,10 +44,14 @@ class ResourceCap(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RegionNode(RegionResult):
-    """An accepted region and its place in the tree: ``parent`` is the id of
-    the node it was reached from by activating facet ``edge_label``."""
+class RegionNode:
+    """An accepted region, its law and its place in the tree: ``parent`` is
+    the id of the node it was reached from by activating facet
+    ``edge_label``. Explored and imported nodes alike hold just these."""
 
+    active: ActiveSet
+    law: AffineLaw
+    region: CriticalRegion
     node_id: int
     parent: int | None
     edge_label: int | None
@@ -92,13 +95,10 @@ def candidate_indices(active: ActiveSet) -> list:
     return [j for i in range(d) if i not in taken for j in (i + d, i)]
 
 
-def _node(res: RegionResult, node_id: int, parent, edge_label) -> RegionNode:
-    return RegionNode(res.active, res.law, res.region, res.duals, res.cache, node_id, parent, edge_label)
-
-
-def _accept(tree: SolutionTree, batch: list, radius_threshold: float, node_cap: int) -> None:
+def _accept(tree: SolutionTree, results: dict, batch: list, radius_threshold: float, node_cap: int) -> None:
     """Test every kept candidate of ``batch`` for emptiness as one stack, then
-    append the non-empty ones to ``tree`` per parent, in candidate order."""
+    append the non-empty ones to ``tree`` per parent, in candidate order, and
+    their region results to ``results`` by node id."""
     empty = is_empty_stack(
         np.concatenate([stack.L for _, _, stack in batch]), np.concatenate([stack.l for _, _, stack in batch]),
         radius_threshold,
@@ -110,9 +110,9 @@ def _accept(tree: SolutionTree, batch: list, radius_threshold: float, node_cap: 
             tree.stats.discovered += 1
             if len(tree.nodes) >= node_cap:
                 raise ResourceCap(f"node cap {node_cap} exceeded")
-            res = stack.result(position)
+            res = results[len(tree.nodes)] = stack.result(position)
             tree.index[res.active.bits] = len(tree.nodes)
-            tree.nodes.append(_node(res, len(tree.nodes), parent.node_id, fresh[position]))
+            tree.nodes.append(RegionNode(res.active, res.law, res.region, len(tree.nodes), parent, fresh[position]))
 
 
 def check_thresholds(radius_threshold: float, eps: float) -> None:
@@ -153,14 +153,18 @@ def explore(
         raise InfeasibleProblem(f"root region rejected: {exc.reason}") from exc
     if is_empty(Polytope(root.region.L, root.region.l), radius_threshold):
         raise InfeasibleProblem("root critical region is empty")
-    tree.nodes.append(_node(root, 0, None, None))
+    tree.nodes.append(RegionNode(root.active, root.law, root.region, 0, None, None))
     tree.index[root.active.bits] = 0
+    # the region result each node was accepted from, kept until the node is
+    # expanded: iter updates its KKT factors into the children
+    results = {0: root}
 
     seen = set(tree.index)  # bits of every candidate examined so far, accepted or not
     depth = cp.Dbar - cp.nbar_c  # Z has no columns here: every child would be singular
     stats = tree.stats
-    batch, size = [], 0  # (parent, fresh, stack) of the pending parents; their candidate count
+    batch, size = [], 0  # (parent id, fresh, stack) of the pending parents; their candidate count
     for position, node in enumerate(tree.nodes):  # grows at each batch, so nodes are visited in BFS order
+        res = results.pop(position)
         if node.active.cardinality < depth:
             bits = node.active.bits
             candidates = candidate_indices(node.active)
@@ -170,14 +174,14 @@ def explore(
             stats.dedup += len(candidates) - len(fresh)
             if fresh:
                 if variant == "baseline":
-                    batch.append((node, fresh, region_from_scratch(cp, node.active, fresh)))
+                    batch.append((position, fresh, region_from_scratch(cp, node.active, fresh)))
                 else:
-                    batch.append((node, fresh, region_iterative(cp, node, fresh, eps)))
+                    batch.append((position, fresh, region_iterative(cp, res, fresh, eps)))
                 stats.numerical += len(fresh) - batch[-1][2].kept.size
                 size += len(fresh)
         # decide the batch once it fills the budget or no known node is left
         if batch and (size * cp.Dbar**2 >= BATCH_BUDGET or position + 1 == len(tree.nodes)):
-            _accept(tree, batch, radius_threshold, node_cap)
+            _accept(tree, results, batch, radius_threshold, node_cap)
             batch, size = [], 0  # frees the batch's stacks before the next batch
     return tree
 
@@ -229,11 +233,10 @@ def export_json(tree: SolutionTree) -> str:
 
 
 def import_json(text: str) -> SolutionTree:
-    """Rebuild a tree from :func:`export_json` output (laws/regions only;
-    KKT caches and duals are not serialized; the ``ared`` lists of version-1
-    files are ignored). A malformed file raises ``ValueError``, as does a
-    node whose ``id`` is not its position or whose ``L``, ``l``, ``Ku`` or
-    ``ku`` has the wrong shape or a NaN or inf."""
+    """Rebuild a tree from :func:`export_json` output (the ``ared`` lists of
+    version-1 files are ignored). A malformed file raises ``ValueError``, as
+    does a node whose ``id`` is not its position or whose ``L``, ``l``,
+    ``Ku`` or ``ku`` has the wrong shape or a NaN or inf."""
     data = json.loads(text)
     if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
@@ -265,7 +268,7 @@ def import_json(text: str) -> SolutionTree:
             active = ActiveSet(tree.Dbar, tuple(nd["active"]))
             tree.nodes.append(RegionNode(
                 active, AffineLaw(arrays["Ku"], arrays["ku"]), CriticalRegion(arrays["L"], arrays["l"]),
-                duals=None, cache=None, node_id=position, parent=nd["parent"], edge_label=nd["edge_label"],
+                position, nd["parent"], nd["edge_label"],
             ))
             tree.index[active.bits] = position
         values = [a.ravel() for nd in tree.nodes for a in (nd.law.Ku, nd.law.ku, nd.region.L, nd.region.l)]

@@ -20,14 +20,7 @@ import scipy.linalg
 
 
 class SingularUpdateError(np.linalg.LinAlgError):
-    """Raised when the 2x2 capacitance factor of the inverse update is singular.
-
-    ``mask`` marks the failing items when the call was on a stack.
-    """
-
-    def __init__(self, message: str, mask: np.ndarray):
-        super().__init__(message)
-        self.mask = mask
+    """Raised when the 2x2 capacitance factor of a dense inverse update is singular."""
 
 
 def null_space_qr(M: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
@@ -110,10 +103,11 @@ def woodbury_rank2_update(Kinv: np.ndarray, U: np.ndarray, W: np.ndarray, src, d
 
     ``P_b`` moves row ``src[b]`` to position ``dst[b]``; the other rows keep
     their order. ``U`` is (B, n, 2) and ``W`` is (B, 2, n), so only the 2x2
-    capacitance matrices ``I + W_b @ Kinv @ U_b`` must be inverted. Raises
-    :class:`SingularUpdateError`, whose ``mask`` marks the singular items,
-    when the smallest eigenvalue magnitude of one falls below ``eps`` scaled
-    by its Frobenius norm. Returns a :class:`Rank2InverseUpdate`.
+    capacitance matrices ``I + W_b @ Kinv @ U_b`` must be inverted. Item
+    ``b`` is singular when the smallest eigenvalue magnitude of its
+    capacitance matrix is at most ``eps`` scaled by its Frobenius norm.
+    Returns ``(update, singular)``: the mask ``singular`` (B,) and a
+    :class:`Rank2InverseUpdate` of the other items, in order.
     """
     Kinv = np.asarray(Kinv, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -122,16 +116,15 @@ def woodbury_rank2_update(Kinv: np.ndarray, U: np.ndarray, W: np.ndarray, src, d
     F2 = np.eye(2) + W @ KU
     scale = np.maximum(1.0, np.linalg.norm(F2, "fro", axis=(1, 2)))
     singular = np.abs(np.linalg.eigvals(F2)).min(axis=1, initial=np.inf) <= eps * scale
-    if singular.any():
-        raise SingularUpdateError("2x2 update factor is singular", singular)
+    ok = ~singular
+    KU, F2, W = KU[ok], F2[ok], W[ok]
     # right-multiplying by P^T moves column src to dst
-    B, n = U.shape[0], U.shape[1]
-    p = np.arange(n)
-    src = np.broadcast_to(np.asarray(src), (B,))[:, None]
-    dst = np.broadcast_to(np.asarray(dst), (B,))[:, None]
+    p = np.arange(U.shape[1])
+    src = np.broadcast_to(np.asarray(src), ok.shape)[ok][:, None]
+    dst = np.broadcast_to(np.asarray(dst), ok.shape)[ok][:, None]
     rest = p - (p > dst)
     order = np.where(p == dst, src, rest + (rest >= src))
-    return Rank2InverseUpdate(Kinv, KU, np.linalg.solve(F2, W @ Kinv), order)
+    return Rank2InverseUpdate(Kinv, KU, np.linalg.solve(F2, W @ Kinv), order), singular
 
 
 def woodbury_rank2_inverse_update(
@@ -144,8 +137,11 @@ def woodbury_rank2_inverse_update(
 ) -> np.ndarray:
     """Inverse of ``P @ (K + U @ W)`` given ``Kinv = inv(K)``, as a dense
     matrix: :func:`woodbury_rank2_update` on a stack of one (``U`` n x 2,
-    ``W`` 2 x n)."""
-    return woodbury_rank2_update(Kinv, np.asarray(U)[None], np.asarray(W)[None], src, dst, eps)[0]
+    ``W`` 2 x n). Raises :class:`SingularUpdateError` when it is singular."""
+    update, singular = woodbury_rank2_update(Kinv, np.asarray(U)[None], np.asarray(W)[None], src, dst, eps)
+    if singular[0]:
+        raise SingularUpdateError("2x2 update factor is singular")
+    return update[0]
 
 
 def greville_append_row_pinv(

@@ -17,7 +17,6 @@ import numpy as np
 
 from czempc.condense import CondensedProblem
 from czempc.linalg import (  # noqa: F401 (perfbench/spans.py traces null_space_qr and the dense updates by these names)
-    SingularUpdateError,
     greville_append_row_pinv,
     null_space_qr,
     sparse_null_basis,
@@ -143,6 +142,9 @@ class KktCache:
 
 @dataclass(frozen=True)
 class RegionResult:
+    """One solved candidate: its law and region, its duals, and the KKT
+    factors that ``region_iterative`` updates into its children."""
+
     active: ActiveSet
     law: AffineLaw
     region: CriticalRegion
@@ -351,12 +353,9 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     U[:, :kp, 1] = -z / z[rows, j][:, None]
     W = np.stack([cp.Y[idx[live]], Zp[:, j].T @ cp.GQG], axis=1)
     target = (kp - 1) + nc + np.searchsorted(active.indices, idx[live])  # the new row's place among Y_A's
-    try:
-        Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
-    except SingularUpdateError as exc:
-        ok = _reject(reasons, live, exc.mask, "singular")
-        live, Zc, U, W, j, target = live[ok], Zc[ok], U[ok], W[ok], j[ok], target[ok]
-        Kinv = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
+    Kinv, singular = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
+    ok = _reject(reasons, live, singular, "singular")
+    live, Zc = live[ok], Zc[ok]
 
     # the child's inactive facets: the parent's minus the new index
     inactive = active.inactive()

@@ -1,9 +1,9 @@
 """Polytopes, zonotopes and constrained zonotopes with their closure operations.
 
 A constrained zonotope is the set ``{c + G xi : ||xi||_inf <= 1, F xi = theta}``.
-Zonotopes are the unconstrained special case. Affine maps, Minkowski sums and
-intersections stay within the class; emptiness of polyhedral sets is decided
-via the Chebyshev-radius LP.
+Zonotopes are the unconstrained special case. Affine maps and intersections
+stay within the class; emptiness of polyhedral sets is decided via the
+Chebyshev-radius LP.
 """
 
 from __future__ import annotations
@@ -140,21 +140,6 @@ def affine_map(r, R, Z) -> ConstrainedZonotope:
     if r.size != R.shape[0]:
         raise DimensionMismatch("offset must match map rows")
     return ConstrainedZonotope(r + R @ Z.c, R @ Z.G, Z.F, Z.theta)
-
-
-def minkowski_sum(Z1, Z2) -> ConstrainedZonotope:
-    Z1, Z2 = _as_cz(Z1), _as_cz(Z2)
-    if Z1.dim != Z2.dim:
-        raise DimensionMismatch("operands must share ambient dimension")
-    G = np.hstack([Z1.G, Z2.G])
-    F = np.block(
-        [
-            [Z1.F, np.zeros((Z1.num_constraints, Z2.num_generators))],
-            [np.zeros((Z2.num_constraints, Z1.num_generators)), Z2.F],
-        ]
-    )
-    theta = np.concatenate([Z1.theta, Z2.theta])
-    return ConstrainedZonotope(Z1.c + Z2.c, G, F, theta)
 
 
 def generalized_intersect(Z1, R, Z2) -> ConstrainedZonotope:

@@ -7,10 +7,32 @@ import pytest
 from czempc.cli import parse_problem
 from czempc.condense import build_condensed_qp
 from czempc.explorer import explore
+from czempc.regions import region_from_scratch, region_iterative
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PAPER_PROBLEM = ROOT / "problems" / "paper4state.json"
 DINT_PROBLEM = ROOT / "problems" / "doubleint.json"
+
+
+def node_results(cp, tree, eps=1e-10):
+    """The region result of every node of an explored ``tree``, by node id,
+    with the KKT factors and duals that tree nodes do not keep. Replays the
+    tree's edges through the solver of its variant as ``explore`` does: the
+    root from scratch, then each parent's children as one stack."""
+    children = {nd.node_id: [] for nd in tree.nodes}
+    for parent, child, _ in tree.edges():
+        children[parent].append(child)
+    results = [region_from_scratch(cp, tree.nodes[0].active, [-1]).result(0)] + [None] * (tree.num_regions - 1)
+    for nd in tree.nodes:  # BFS order: a parent's result is ready before its children's
+        if children[nd.node_id]:
+            added = [tree.nodes[child].edge_label for child in children[nd.node_id]]
+            if tree.variant == "baseline":
+                stack = region_from_scratch(cp, nd.active, added)
+            else:
+                stack = region_iterative(cp, results[nd.node_id], added, eps)
+            for position, child in enumerate(children[nd.node_id]):
+                results[child] = stack.result(position)
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import node_results
 
 from czempc.lp import solve_lp
 from czempc.regions import kkt_residuals, region_from_scratch
@@ -148,11 +149,11 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
     tree = paper_tree(3, "iter")
     worst_kinv = worst_angle = worst_dual = 0.0
     transitions = 0
-    for nd in tree.nodes:
+    for nd, res in zip(tree.nodes, node_results(cp, tree)):
         if nd.parent is None:
             continue
         transitions += 1
-        cache = nd.cache
+        cache = res.cache
         # reference inverse recomputed from scratch in the chain's own null basis
         Z = cache.Z
         Y_A = cp.Y[list(nd.active.indices)]
@@ -171,7 +172,7 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
         grad = cp.G_D.T @ (cp.Qtilde @ np.column_stack([scratch.law.ku, scratch.law.Ku]))
         grad[:, 1:] += cp.GHt
         S_ref = -np.linalg.pinv(np.hstack([cp.F_D.T, Y_A.T])) @ grad
-        S = np.column_stack([nd.duals.s, nd.duals.S])
+        S = np.column_stack([res.duals.s, res.duals.S])
         worst_dual = max(worst_dual, float(np.linalg.norm(S - S_ref) / max(1.0, np.linalg.norm(S_ref))))
     ok = transitions > 0 and worst_kinv <= 1e-8 and worst_angle <= 1e-8 and worst_dual <= 1e-9
     detail = (
@@ -188,7 +189,7 @@ def test_criterion_5_kkt_residuals(paper_cp, paper_tree, rng):
     for N in HORIZONS:
         cp = paper_cp(N)
         tree = paper_tree(N, "iter")
-        for nd in tree.nodes:
+        for nd, result in zip(tree.nodes, node_results(cp, tree)):
             nodes += 1
             cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
             points = [cheb.center]
@@ -196,11 +197,11 @@ def test_criterion_5_kkt_residuals(paper_cp, paper_tree, rng):
                 d = rng.normal(size=cp.n)
                 points.append(cheb.center + 0.5 * cheb.radius * d / np.linalg.norm(d))
             for x0 in points:
-                res = kkt_residuals(cp, nd, x0)
+                res = kkt_residuals(cp, result, x0)
                 worst_res = max(
                     worst_res, res["stationarity"], res["primal_eq"], res["complementarity"]
                 )
-            mu = nd.duals.mu_active(cheb.center)
+            mu = result.duals.mu_active(cheb.center)
             if mu.size:
                 worst_mu = min(worst_mu, float(mu.min()))
     ok = worst_res <= 1e-7 and (worst_mu >= -1e-8 or not np.isfinite(worst_mu))

@@ -415,12 +415,26 @@ def test_non_integral_horizon_exits_3(tmp_path, capsys, dint_doc, N):
         (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": [1]}}), "not 'list'"),
         (lambda d: d.update(T={"recurrence": {"K": "lqr", "maxIter": 2.7}}), "maxIter must be an integer"),
         (lambda d: d.update(T={"recurrence": {"K": "lqr", "maxIter": True}}), "maxIter must be an integer"),
+        (lambda d: d.update(options=[1, 2]), "options must be an object"),
+        (lambda d: d["options"].update(radiusThreshold=True), "radius threshold must be a finite number, not 'bool'"),
+        (lambda d: d["options"].update(radiusThreshold="1e-6"), "radius threshold must be a finite number, not 'str'"),
+        (lambda d: d["options"].update(eps="1e-10"), "eps must be a finite number, not 'str'"),
+        (lambda d: d["options"].update(eps=False), "eps must be a finite number, not 'bool'"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": True}}), "tol must be a finite number, not 'bool'"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": "1e-8"}}), "tol must be a finite number, not 'str'"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": NAN}}), "tol must be a finite number"),
+        (lambda d: d.update(T={"recurrence": {"K": "lqr", "tol": 0}}), "T.recurrence.tol must be > 0"),
     ],
-    ids=["A-object", "recurrence-list", "tol-list", "maxIter-fraction", "maxIter-boolean"],
+    ids=["A-object", "recurrence-list", "tol-list", "maxIter-fraction", "maxIter-boolean", "options-list",
+         "radius-boolean", "radius-string", "eps-string", "eps-boolean", "tol-boolean", "tol-string", "tol-nan",
+         "tol-zero"],
 )
 def test_wrongly_typed_problem_data_exits_3(tmp_path, capsys, edit, message):
     # the first three ended in a TypeError or AttributeError traceback (exit 1);
-    # maxIter 2.7 ran 2 steps and true ran 1, both writing a tree with exit 0
+    # maxIter 2.7 ran 2 steps and true ran 1, both writing a tree with exit 0;
+    # options [1, 2] were ignored (exit 0, 9 regions), a radius threshold of
+    # true was read as 1.0 (exit 2: the root region is empty), a tol of true
+    # ran the recurrence at tol = 1.0 (exit 0, 13 regions), and strings passed
     code, err = _solve_edited_dint(tmp_path, capsys, edit)
     assert code == EXIT_PARSE
     assert len(err) == 1 and message in err[0]

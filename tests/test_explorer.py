@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from czempc.condense import MpcProblem, build_condensed_qp
 from czempc.cli import parse_problem
 from czempc.explorer import (
     InfeasibleProblem,
+    RegionNode,
     ResourceCap,
     VARIANTS,
     candidate_indices,
@@ -18,7 +20,7 @@ from czempc.explorer import (
     export_json,
     import_json,
 )
-from czempc.regions import ActiveSet
+from czempc.regions import ActiveSet, DualSolution, KktCache, RegionResult, RegionStack
 from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, is_empty_stack
 
@@ -266,6 +268,25 @@ def test_json_roundtrip_exact(dint_tree):
         assert np.array_equal(a.law.ku, b.law.ku)
         assert np.array_equal(a.region.L, b.region.L)
         assert np.array_equal(a.region.l, b.region.l)
+
+
+def test_tree_nodes_hold_only_law_region_and_place(dint_tree):
+    # explored and imported nodes are one type, and no KKT factor, dual or
+    # stack is reachable from a returned tree
+    assert [f.name for f in dataclasses.fields(RegionNode)] == [
+        "active", "law", "region", "node_id", "parent", "edge_label"]
+    assert not issubclass(RegionNode, RegionResult)
+    imported = import_json(export_json(dint_tree))
+    assert {type(nd) for nd in dint_tree.nodes + imported.nodes} == {RegionNode}
+    seen, todo = set(), [dint_tree]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (RegionResult, KktCache, DualSolution, RegionStack))
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > 4 * dint_tree.num_regions
 
 
 def test_import_rejects_foreign_json(dint_tree):

@@ -59,13 +59,29 @@ def test_rank2_update_products_match_dense(rng):
     # a stack of updates multiplies from either side like its dense inverses
     n, B = 7, 3
     K = rng.normal(size=(n, n)) + 3 * np.eye(n)
-    update = woodbury_rank2_update(np.linalg.inv(K), rng.normal(size=(B, n, 2)), rng.normal(size=(B, 2, n)),
-                                   [0, 3, 6], [5, 3, 1])
+    update, singular = woodbury_rank2_update(np.linalg.inv(K), rng.normal(size=(B, n, 2)), rng.normal(size=(B, 2, n)),
+                                             [0, 3, 6], [5, 3, 1])
+    assert not singular.any()
     dense = np.stack([update[b] for b in range(B)])
     V = rng.normal(size=(B, n, 4))
     np.testing.assert_allclose(update @ V, dense @ V, atol=1e-12)
     Vt = V.swapaxes(1, 2)
     np.testing.assert_allclose(Vt @ update, Vt @ dense, atol=1e-12)
+
+
+def test_woodbury_rank2_update_masks_singular_items(rng):
+    # a singular item is marked, and the update holds the other items in order
+    n = 6
+    K = rng.normal(size=(n, n)) + 3 * np.eye(n)
+    U, W = rng.normal(size=(3, n, 2)), rng.normal(size=(3, 2, n))
+    U[1], W[1] = 0.0, 0.0
+    U[1, 0, 0], W[1, 0] = 1.0, -K[0]  # K + U W loses row 0
+    update, singular = woodbury_rank2_update(np.linalg.inv(K), U, W, [0, 2, 4], [3, 3, 1])
+    assert singular.tolist() == [False, True, False]
+    for b, (item, src, dst) in enumerate([(0, 0, 3), (2, 4, 1)]):
+        rows = [i for i in range(n) if i != src]
+        P = np.eye(n)[rows[:dst] + [src] + rows[dst:]]  # row src moves to position dst
+        np.testing.assert_allclose(update[b], np.linalg.inv(P @ (K + U[item] @ W[item])), atol=1e-10)
 
 
 def test_woodbury_rank2_update_singular():

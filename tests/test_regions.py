@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import node_results
 
 from czempc import explorer, regions
 from czempc.cli import parse_problem
@@ -85,11 +86,11 @@ def test_children_stack_matches_scratch(case, paper_doc):
     cp = build_condensed_qp(parse_problem(doc)[0])
     tree = explore(cp, variant="iter")
     accepted = rejected = 0
-    for nd in tree.nodes:
+    for nd, res in zip(tree.nodes, node_results(cp, tree)):
         if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
             continue
         candidates = candidate_indices(nd.active)
-        stack = region_iterative(cp, nd, candidates)
+        stack = region_iterative(cp, res, candidates)
         assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
         for position, i in enumerate(candidates):
             child = nd.active.with_index(i)
@@ -108,6 +109,26 @@ def test_children_stack_matches_scratch(case, paper_doc):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * (1.0 + np.abs(want).max()))
             accepted += 1
     assert accepted > 100 and rejected > 100
+
+
+@pytest.mark.parametrize("variant", explorer.VARIANTS)
+@pytest.mark.parametrize("case", ["paper4state-N3", "cz-n1"])
+def test_node_results_replay_the_explored_tree(case, variant, paper_doc):
+    # the tests that read KKT factors and duals take them from node_results;
+    # its laws and regions must be those explore accepted: bitwise when each
+    # node is solved from scratch, within 1e-12 through the updates
+    doc = dict(paper_doc, N=3) if case == "paper4state-N3" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    cp = build_condensed_qp(parse_problem(doc)[0])
+    tree = explore(cp, variant=variant)
+    results = node_results(cp, tree)
+    assert [res.active for res in results] == [nd.active for nd in tree.nodes]
+    for nd, res in zip(tree.nodes, results):
+        for got, want in [(res.law.Ku, nd.law.Ku), (res.law.ku, nd.law.ku), (res.region.L, nd.region.L),
+                          (res.region.l, nd.region.l)]:
+            if variant == "baseline":
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def scratch_reference(cp, active):
@@ -195,12 +216,12 @@ def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
     # a node with Dbar - nbar_c active facets has a null basis Z without
     # columns: every child has more constraints than lifted coordinates
     cp = dint_cp
-    full = [nd for nd in dint_tree.nodes if nd.active.cardinality == cp.Dbar - cp.nbar_c]
+    full = [res for res in node_results(cp, dint_tree) if res.active.cardinality == cp.Dbar - cp.nbar_c]
     assert len(full) == 4
-    for nd in full:
-        assert nd.cache.Z.shape == (cp.Dbar, 0)
-        candidates = candidate_indices(nd.active)
-        stack = region_iterative(cp, nd, candidates)
+    for res in full:
+        assert res.cache.Z.shape == (cp.Dbar, 0)
+        candidates = candidate_indices(res.active)
+        stack = region_iterative(cp, res, candidates)
         assert stack.reasons == ["singular"] * len(candidates)
         assert stack.kept.size == 0
         assert stack.L.shape == (0, 2 * cp.Dbar, cp.n)
@@ -212,7 +233,7 @@ def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
 def test_iterative_retry_after_singular_update(dint_cp, dint_tree):
     # a large eps makes the Woodbury test reject part of the root's stack;
     # the children kept must be those solved without the rejected ones
-    cp, root = dint_cp, dint_tree.nodes[0]
+    cp, root = dint_cp, node_results(dint_cp, dint_tree)[0]
     candidates = candidate_indices(root.active)
     loose = region_iterative(cp, root, candidates)
     stack = region_iterative(cp, root, candidates, eps=0.3)
@@ -326,9 +347,9 @@ def test_second_order_rejection_redundant_generators():
 
 def test_xi_star_respects_facets(dint_tree, dint_cp):
     cp = dint_cp
-    for nd in dint_tree.nodes:
+    for nd, res in zip(dint_tree.nodes, node_results(cp, dint_tree)):
         cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
-        xi = nd.xi_star(cheb.center)
+        xi = res.xi_star(cheb.center)
         slack = cp.Y @ xi - 1.0
         if nd.active.indices:
             assert np.max(np.abs(slack[list(nd.active.indices)])) <= 1e-8
@@ -336,12 +357,12 @@ def test_xi_star_respects_facets(dint_tree, dint_cp):
 
 
 def test_kkt_residuals_interior(dint_tree, dint_cp, rng):
-    for nd in dint_tree.nodes:
+    for nd, result in zip(dint_tree.nodes, node_results(dint_cp, dint_tree)):
         cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
         for _ in range(3):
             d = rng.normal(size=dint_cp.n)
             x0 = cheb.center + 0.4 * cheb.radius * d / np.linalg.norm(d)
-            res = kkt_residuals(dint_cp, nd, x0)
+            res = kkt_residuals(dint_cp, result, x0)
             assert res["stationarity"] <= 1e-8
             assert res["primal_eq"] <= 1e-8
             assert res["primal_ineq"] <= 1e-8

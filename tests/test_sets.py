@@ -17,7 +17,6 @@ from czempc.sets import (
     generalized_intersect,
     is_empty,
     is_empty_stack,
-    minkowski_sum,
     support,
     zonotope_halfspaces,
 )
@@ -47,14 +46,6 @@ def test_affine_map_support(rng):
         d = rng.normal(size=2)
         # support of the image equals the mapped support
         assert support(img, d) == pytest.approx(float(d @ r) + HEX.support(R.T @ d), abs=1e-8)
-
-
-def test_minkowski_sum_support(rng):
-    other = Zonotope(np.array([1.0, 1.0]), np.array([[0.5, 0.0], [0.0, 0.25]]))
-    s = minkowski_sum(HEX, other)
-    for _ in range(5):
-        d = rng.normal(size=2)
-        assert support(s, d) == pytest.approx(HEX.support(d) + other.support(d), abs=1e-8)
 
 
 def test_intersect_membership(rng):
