@@ -10,7 +10,7 @@ tree of critical regions.
 from czempc.sets import Polytope, Zonotope, ConstrainedZonotope
 from czempc.condense import MpcProblem, CondensedProblem, build_condensed_qp
 from czempc.explorer import SolutionTree, explore
-from czempc.runtime import locate, evaluate, simulate, oracle_qp
+from czempc.runtime import locate, evaluate, simulate
 
 __all__ = [
     "Polytope",
@@ -24,7 +24,6 @@ __all__ = [
     "locate",
     "evaluate",
     "simulate",
-    "oracle_qp",
 ]
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Condense a linear MPC problem into its multi-parametric QP.
 
-The stacked-input QP ``min 0.5 u'Qt u + x0'Ht u s.t. A u <= b + E x0`` is
-built by eliminating the predicted states. The same feasible domain is also
-expressed as a constrained zonotope in the lifted generator space: the
-decision variable ``xi`` ranges over a hypercube intersected with an affine
-subspace parameterized by ``x0``.
+The stacked-input cost ``0.5 u'Qt u + x0'Ht u`` is built by eliminating the
+predicted states. The feasible domain is a constrained zonotope in the
+lifted generator space: the decision variable ``xi`` ranges over a hypercube
+intersected with an affine subspace parameterized by ``x0``, and
+``u = c_D + G_D xi``. No half-space form of it is built, so lower-dimensional
+state, input and terminal sets need no facets.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ import numpy as np
 from czempc.sets import (
     ConstrainedZonotope,
     DimensionMismatch,
-    Polytope,
     Zonotope,
     affine_map,
     intersect,
     generalized_intersect,
     support,
-    zonotope_halfspaces,
 )
 
 
@@ -108,10 +107,6 @@ class CondensedProblem:
     N: int
     Qtilde: np.ndarray  # (N m) x (N m), PD
     Htilde: np.ndarray  # n x (N m)
-    A_poly: np.ndarray  # q x (N m)
-    b_poly: np.ndarray  # q
-    E_poly: np.ndarray  # q x n
-    poly_has_terminal: bool
     c_D: np.ndarray  # N m
     G_D: np.ndarray  # (N m) x Dbar
     F_D: np.ndarray  # nbar_c x Dbar
@@ -287,8 +282,6 @@ def build_condensed_qp(p: MpcProblem) -> CondensedProblem:
     theta1 -= np.vstack([Btilde_full, np.zeros((cT, N * m))]) @ c_D
     theta2 = -np.vstack([Atilde_full, np.zeros((cT, n))])
 
-    A_poly, b_poly, E_poly, has_terminal = _build_polyhedral(p, T, pred)
-
     Y = np.vstack([np.eye(Dbar), -np.eye(Dbar)])
     return CondensedProblem(
         n=n,
@@ -296,10 +289,6 @@ def build_condensed_qp(p: MpcProblem) -> CondensedProblem:
         N=N,
         Qtilde=Qt,
         Htilde=Ht,
-        A_poly=A_poly,
-        b_poly=b_poly,
-        E_poly=E_poly,
-        poly_has_terminal=has_terminal,
         c_D=c_D,
         G_D=G_D,
         F_D=F_D,
@@ -310,42 +299,3 @@ def build_condensed_qp(p: MpcProblem) -> CondensedProblem:
         Y=Y,
         terminal=T,
     )
-
-
-def _build_polyhedral(p: MpcProblem, T: ConstrainedZonotope, pred: PredictionMatrices):
-    """Stacked H-rep ``A u <= b + E x0`` of the feasible domain.
-
-    Row order: state constraints for stages 0..N-1, input constraints for
-    stages 0..N-1, then terminal rows. Terminal rows require a zonotopic
-    terminal set (facet enumeration of a general CZ is out of scope); when the
-    terminal set carries equality constraints the terminal block is omitted
-    and the returned flag is False.
-    """
-    n, m, N = p.n, p.m, p.N
-    HX = zonotope_halfspaces(p.X)
-    HU = zonotope_halfspaces(p.U)
-
-    A_rows, b_rows, E_rows = [], [], []
-    for i in range(N):  # x_i = A^i x0 + (block row i of Btilde_0N1) u
-        A_rows.append(HX.A @ pred.Btilde_0N1[i * n : (i + 1) * n, :])
-        b_rows.append(HX.b)
-        E_rows.append(-HX.A @ pred.Atilde_0N1[i * n : (i + 1) * n, :])
-    for i in range(N):
-        sel = np.zeros((m, N * m))
-        sel[:, i * m : (i + 1) * m] = np.eye(m)
-        A_rows.append(HU.A @ sel)
-        b_rows.append(HU.b)
-        E_rows.append(np.zeros((HU.A.shape[0], n)))
-    has_terminal = T.num_constraints == 0
-    if has_terminal:
-        HT = zonotope_halfspaces(Zonotope(T.c, T.G))
-        A_rows.append(HT.A @ pred.Btilde_N)
-        b_rows.append(HT.b)
-        E_rows.append(-HT.A @ pred.Atilde_N)
-    return np.vstack(A_rows), np.concatenate(b_rows), np.vstack(E_rows), has_terminal
-
-
-def feasible_polytope(cp: CondensedProblem, x0: np.ndarray) -> Polytope:
-    """Polyhedral feasible set in u-space at a fixed parameter ``x0``."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    return Polytope(cp.A_poly, cp.b_poly + cp.E_poly @ x0)

@@ -11,9 +11,9 @@ neither can the solver. Leaving ties always go to the lowest basic index.
 Problem sizes here are small (tens of rows), so dense tableaux are adequate.
 
 ``solve_stack`` takes stacked ``A x = b, x >= 0`` problems, or one shared
-``A x = b`` with many objectives (phase 1 then runs once).
-``solve_standard_form`` is its single-LP form. ``solve_lp`` and
-``solve_lp_stack`` are thin front ends for the finite-box equality form
+``A x = b`` with many objectives (phase 1 then runs once); a single LP is
+``solve_stack(A, b, c)[0]``. ``solve_lp`` and ``solve_lp_stack`` are thin
+front ends for the finite-box equality form
 ``A_eq x = b_eq, lb <= x <= ub`` that every constrained-zonotope LP takes
 (``||xi||_inf <= 1``).
 """
@@ -186,13 +186,6 @@ def solve_stack(A, b, C, tol: float = 1e-9, cutoff=-np.inf) -> list:
         x[basis[i, keep]] = T[i, :m, -1][keep]
         results[live[i]] = LpResult("optimal", x=x, fun=float(C[i] @ x), basis=basis[i, keep])
     return results
-
-
-def solve_standard_form(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = 1e-9, cutoff: float = -np.inf
-) -> LpResult:
-    """min c@x s.t. A@x = b, x >= 0: :func:`solve_stack` on a stack of one."""
-    return solve_stack(A, b, np.asarray(c, dtype=float)[None], tol, cutoff)[0]
 
 
 def solve_lp_stack(C, A_eq=None, b_eq=None, *, lb, ub, tol: float = 1e-9) -> list:

@@ -114,45 +114,16 @@ class CriticalRegion:
 
 
 @dataclass(frozen=True)
-class DualSolution:
-    """Affine dual maps: ``[lambda; mu_A](x0) = S x0 + s`` split at ``nbar_c``."""
-
-    S: np.ndarray
-    s: np.ndarray
-    nbar_c: int
-
-    def lam(self, x0) -> np.ndarray:
-        full = self.S @ np.asarray(x0, dtype=float).ravel() + self.s
-        return full[: self.nbar_c]
-
-    def mu_active(self, x0) -> np.ndarray:
-        full = self.S @ np.asarray(x0, dtype=float).ravel() + self.s
-        return full[self.nbar_c :]
-
-
-@dataclass(frozen=True)
-class KktCache:
-    """Reusable factors for children of this active set."""
-
-    Z: np.ndarray  # Dbar x (Dbar - nbar_c - n_A), basis of null([F_D; Y_A])
-    Kinv: np.ndarray  # Dbar x Dbar
-    kappa1: np.ndarray
-    kappa2: np.ndarray
-
-
-@dataclass(frozen=True)
 class RegionResult:
-    """One solved candidate: its law and region, its duals, and the KKT
-    factors that ``region_iterative`` updates into its children."""
+    """One solved candidate: its law and region, and the KKT factors that
+    ``region_iterative`` updates into its children: ``Z`` (Dbar x k), the
+    basis of null([F_D; Y_A]), and ``Kinv`` (Dbar x Dbar)."""
 
     active: ActiveSet
     law: AffineLaw
     region: CriticalRegion
-    duals: DualSolution
-    cache: KktCache
-
-    def xi_star(self, x0) -> np.ndarray:
-        return self.cache.Kinv @ (self.cache.kappa1 + self.cache.kappa2 @ np.asarray(x0, dtype=float).ravel())
+    Z: np.ndarray
+    Kinv: np.ndarray
 
 
 def _positive_definite(H: np.ndarray) -> np.ndarray:
@@ -199,19 +170,14 @@ class RegionStack:
     def result(self, position: int) -> RegionResult:
         """The region of candidate ``position``, copied out of the stack;
         raises :class:`RegionRejected` for a rejected candidate."""
-        cp = self.cp
         if self.reasons[position] is not None:
             raise RegionRejected(self.reasons[position])
         i = int(np.searchsorted(self.kept, position))
         added = int(self.added[position])
         active = self.base.with_index(added) if added >= 0 else self.base
         law = AffineLaw(self.u[i, :, 1:].copy(), self.u[i, :, 0].copy())
-        duals = DualSolution(self.S[i, :, 1:].copy(), self.S[i, :, 0].copy(), cp.nbar_c)
         region = CriticalRegion(self.L[i].copy(), self.l[i].copy())
-        cache = KktCache(
-            self.Z[i].copy(), np.array(self.Kinv[i]), self.kappa[i, :, 0].copy(), self.kappa[i, :, 1:].copy(),
-        )
-        return RegionResult(active, law, region, duals, cache)
+        return RegionResult(active, law, region, self.Z[i].copy(), np.array(self.Kinv[i]))
 
 
 def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, inactive) -> RegionStack:
@@ -291,13 +257,15 @@ def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionS
     if (idx >= 0).any():
         act = np.sort(np.column_stack([act, idx]), axis=1)
     nc, r = cp.nbar_c, cp.nbar_c + act.shape[1]
+    if r > cp.Dbar:  # more constraints than lifted coordinates (at the root too
+        D, n = cp.Dbar, cp.n  # when nbar_c > Dbar): an empty stack, every candidate singular
+        return RegionStack(
+            cp, base, idx, ["singular"] * idx.size, np.arange(0), np.zeros((0, D, 0)), np.zeros((0, D, D)),
+            np.zeros((0, D, n + 1)), np.zeros((0, cp.N * cp.m, n + 1)), np.zeros((0, D, n + 1)),
+            np.zeros((0, 2 * D, n)), np.zeros((0, 2 * D)),
+        )
     reasons = [None] * idx.size
     live = np.arange(idx.size)  # candidate positions still in the stack
-    if r > cp.Dbar:  # more constraints than lifted coordinates
-        live = live[_reject(reasons, live, np.ones(idx.size, dtype=bool), "singular")]
-        # an empty stack with n_A = Dbar - nbar_c, so that every shape below is
-        # valid and the region rows still number 2 Dbar
-        act, r = act[:0, : cp.Dbar - nc], cp.Dbar
     Y_A = cp.Y[act]  # (B, n_A, Dbar)
     T = np.concatenate([np.broadcast_to(cp.F_D.T, (live.size, cp.Dbar, nc)), Y_A.swapaxes(1, 2)], axis=2)
     U, s, _ = np.linalg.svd(T, full_matrices=True)
@@ -334,7 +302,7 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     if any(active.contains(int(i)) for i in new_indices):
         raise ValueError("index already active")
     idx = np.asarray(new_indices, dtype=int)
-    Zp, kp, nc = parent.cache.Z, parent.cache.Z.shape[1], cp.nbar_c
+    Zp, kp, nc = parent.Z, parent.Z.shape[1], cp.nbar_c
     if kp == 0:  # K cannot stay square past this depth: every child has more
         return region_from_scratch(cp, active, idx)  # constraints than coordinates
     reasons = [None] * idx.size
@@ -353,7 +321,7 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     U[:, :kp, 1] = -z / z[rows, j][:, None]
     W = np.stack([cp.Y[idx[live]], Zp[:, j].T @ cp.GQG], axis=1)
     target = (kp - 1) + nc + np.searchsorted(active.indices, idx[live])  # the new row's place among Y_A's
-    Kinv, singular = woodbury_rank2_update(parent.cache.Kinv, U, W, j, target, eps)
+    Kinv, singular = woodbury_rank2_update(parent.Kinv, U, W, j, target, eps)
     ok = _reject(reasons, live, singular, "singular")
     live, Zc = live[ok], Zc[ok]
 
@@ -364,38 +332,16 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     return _finish(cp, active, idx, reasons, live, Zc, Kinv, inactive[r + (r >= drop)])
 
 
-def reduced_active_set(cp: CondensedProblem, law: AffineLaw, tol: float = ARED_TOL) -> tuple:
-    """Polyhedral rows on which the law is pinned identically over the region.
+def reduced_active_set(A: np.ndarray, b: np.ndarray, E: np.ndarray, law: AffineLaw, tol: float = ARED_TOL) -> tuple:
+    """Rows of ``A u <= b + E x0`` on which the law is pinned identically over
+    the region.
 
     Row ``j`` qualifies when ``A_j Ku = E_j`` and ``A_j ku = b_j`` hold as
     coefficient identities, so ``A_j u(x0) = b_j + E_j x0`` for every ``x0``.
     """
-    lhs_K = cp.A_poly @ law.Ku
-    lhs_k = cp.A_poly @ law.ku
-    scale_K = 1.0 + np.max(np.abs(cp.E_poly), axis=1, initial=0.0)
-    scale_k = 1.0 + np.abs(cp.b_poly)
-    hit = (np.max(np.abs(lhs_K - cp.E_poly), axis=1) <= tol * scale_K) & (
-        np.abs(lhs_k - cp.b_poly) <= tol * scale_k
-    )
+    lhs_K = A @ law.Ku
+    lhs_k = A @ law.ku
+    scale_K = 1.0 + np.max(np.abs(E), axis=1, initial=0.0)
+    scale_k = 1.0 + np.abs(b)
+    hit = (np.max(np.abs(lhs_K - E), axis=1) <= tol * scale_K) & (np.abs(lhs_k - b) <= tol * scale_k)
     return tuple(int(j) for j in np.nonzero(hit)[0])
-
-
-def kkt_residuals(cp: CondensedProblem, res: RegionResult, x0: np.ndarray) -> dict:
-    """First-order residuals at ``x0``: stationarity, primal equality/inequality,
-    complementarity. Used by validation, not by the solver itself."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    xi = res.xi_star(x0)
-    lam = res.duals.lam(x0)
-    mu_a = res.duals.mu_active(x0)
-    Y_A = cp.Y[list(res.active.indices)]
-    stationarity = cp.GQG @ xi + cp.GQc + cp.GHt @ x0 + cp.F_D.T @ lam + Y_A.T @ mu_a
-    primal_eq = cp.F_D @ xi - cp.theta1_D - cp.theta2_D @ x0
-    slack = cp.Y @ xi - 1.0
-    mu_full = np.zeros(2 * cp.Dbar)
-    mu_full[list(res.active.indices)] = mu_a
-    return {
-        "stationarity": float(np.max(np.abs(stationarity), initial=0.0)),
-        "primal_eq": float(np.max(np.abs(primal_eq), initial=0.0)),
-        "primal_ineq": float(np.max(slack, initial=-np.inf)),
-        "complementarity": float(np.max(np.abs(mu_full * slack), initial=0.0)),
-    }

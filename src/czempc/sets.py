@@ -8,13 +8,11 @@ Chebyshev-radius LP.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from czempc.linalg import null_space_qr
-from czempc.lp import solve_lp, solve_lp_stack, solve_stack
+from czempc.lp import solve_lp, solve_lp_stack, solve_stack  # noqa: F401 (perfbench/spans.py traces solve_lp by this name)
 
 DEFAULT_RADIUS_THRESHOLD = 1e-6
 
@@ -182,24 +180,6 @@ def support(Z, d):
     return float(values[0]) if D.ndim == 1 else values
 
 
-def cz_contains_point(Z, x, tol: float = 1e-9) -> bool:
-    """Feasibility LP: exists ``xi`` with ``||xi||_inf <= 1``, ``F xi = theta``, ``c + G xi = x``."""
-    Z = _as_cz(Z)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != Z.dim:
-        raise DimensionMismatch("point dimension mismatch")
-    A_eq = np.vstack([Z.G, Z.F])
-    b_eq = np.concatenate([x - Z.c, Z.theta])
-    res = solve_lp(np.zeros(Z.num_generators), A_eq=A_eq, b_eq=b_eq, lb=-1.0, ub=1.0, tol=tol)
-    return res.status == "optimal"
-
-
-def cz_is_empty(Z) -> bool:
-    Z = _as_cz(Z)
-    res = solve_lp(np.zeros(Z.num_generators), A_eq=Z.F, b_eq=Z.theta, lb=-1.0, ub=1.0)
-    return res.status != "optimal"
-
-
 def chebyshev(P: Polytope) -> ChebyshevResult:
     """Largest inscribed ball of ``P``: ``max r s.t. A_i x + r ||A_i|| <= b_i``.
 
@@ -281,39 +261,3 @@ def _ball(res, Abar: np.ndarray, b: np.ndarray) -> ChebyshevResult:
     else:  # redundant dual rows were dropped: every solution has the same margins
         z = np.linalg.lstsq(A_B, b_B, rcond=None)[0]
     return ChebyshevResult(z[:-1], float(z[-1]))
-
-
-def zonotope_halfspaces(Z: Zonotope) -> Polytope:
-    """Facet (H-rep) enumeration of a full-dimensional zonotope.
-
-    Every facet normal is orthogonal to some ``n - 1`` generators; offsets come
-    from the closed-form support function. Intended for low ambient dimension.
-    """
-    n = Z.dim
-    G = Z.G
-    if n == 1:
-        span = float(np.abs(G).sum())
-        A = np.array([[1.0], [-1.0]])
-        b = np.array([Z.c[0] + span, -Z.c[0] + span])
-        return Polytope(A, b)
-    rows = []
-    seen = set()
-    for comb in itertools.combinations(range(G.shape[1]), n - 1):
-        normals = null_space_qr(G[:, comb].T)
-        if normals.shape[1] != 1:
-            continue  # degenerate combination
-        eta = normals[:, 0]
-        eta = eta / np.linalg.norm(eta)
-        key = tuple(np.round(eta, 10))
-        key_neg = tuple(np.round(-eta, 10))
-        if key in seen or key_neg in seen:
-            continue
-        seen.add(key)
-        span = float(np.abs(eta @ G).sum())
-        rows.append((eta, eta @ Z.c + span))
-        rows.append((-eta, -eta @ Z.c + span))
-    if not rows:
-        raise ValueError("zonotope is not full-dimensional; no facets found")
-    A = np.vstack([r[0] for r in rows])
-    b = np.array([r[1] for r in rows])
-    return Polytope(A, b)

@@ -9,18 +9,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import node_results
+from oracle import cz_contains_point, kkt_residuals, oracle_qp
 
+from czempc.cli import parse_problem
+from czempc.condense import build_condensed_qp
+from czempc.explorer import explore
 from czempc.lp import solve_lp
-from czempc.regions import kkt_residuals, region_from_scratch
-from czempc.runtime import evaluate, locate, oracle_qp
-from czempc.sets import (
-    ConstrainedZonotope,
-    Polytope,
-    Zonotope,
-    chebyshev,
-    cz_contains_point,
-    intersect,
-)
+from czempc.regions import region_from_scratch
+from czempc.runtime import evaluate, locate
+from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, intersect
 
 HORIZONS = (1, 2, 3, 4)
 VARIANT_NAMES = ("baseline", "iter")
@@ -34,14 +31,14 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def oracle_samples(paper_cp, paper_tree):
+def oracle_samples(paper_problem):
     """100 oracle-feasible parameters (plus the rejected draws) for the N=2 system."""
-    cp = paper_cp(2)
+    problem = paper_problem(2)
     rng = np.random.default_rng(1234)
     feasible, infeasible = [], []
     while len(feasible) < 100:
         x0 = rng.uniform(-10, 10, size=4)
-        sol = oracle_qp(cp, x0)
+        sol = oracle_qp(problem, x0)
         if sol is None:
             infeasible.append(x0)
         else:
@@ -149,30 +146,30 @@ def test_criterion_4_low_rank_updates(paper_cp, paper_tree):
     tree = paper_tree(3, "iter")
     worst_kinv = worst_angle = worst_dual = 0.0
     transitions = 0
-    for nd, res in zip(tree.nodes, node_results(cp, tree)):
+    for nd, solve in zip(tree.nodes, node_results(cp, tree)):
         if nd.parent is None:
             continue
         transitions += 1
-        cache = res.cache
+        res = solve.result()
         # reference inverse recomputed from scratch in the chain's own null basis
-        Z = cache.Z
+        Z = res.Z
         Y_A = cp.Y[list(nd.active.indices)]
         rows = [cp.F_D, Y_A] if Z.shape[1] == 0 else [Z.T @ cp.GQG, cp.F_D, Y_A]
         Kinv_ref = np.linalg.inv(np.vstack(rows))
         worst_kinv = max(
             worst_kinv,
-            float(np.linalg.norm(cache.Kinv - Kinv_ref) / np.linalg.norm(Kinv_ref)),
+            float(np.linalg.norm(res.Kinv - Kinv_ref) / np.linalg.norm(Kinv_ref)),
         )
         # null-space span against an independent from-scratch SVD
         scratch = region_from_scratch(cp, nd.active, [-1]).result(0)
         if Z.shape[1]:
-            worst_angle = max(worst_angle, float(np.max(scipy.linalg.subspace_angles(Z, scratch.cache.Z))))
+            worst_angle = max(worst_angle, float(np.max(scipy.linalg.subspace_angles(Z, scratch.Z))))
         # duals read off the updated inverse against -pinv(T) grad, with the
         # cost gradient grad of the from-scratch law
         grad = cp.G_D.T @ (cp.Qtilde @ np.column_stack([scratch.law.ku, scratch.law.Ku]))
         grad[:, 1:] += cp.GHt
         S_ref = -np.linalg.pinv(np.hstack([cp.F_D.T, Y_A.T])) @ grad
-        S = np.column_stack([res.duals.s, res.duals.S])
+        S = solve.stack.S[solve.row]
         worst_dual = max(worst_dual, float(np.linalg.norm(S - S_ref) / max(1.0, np.linalg.norm(S_ref))))
     ok = transitions > 0 and worst_kinv <= 1e-8 and worst_angle <= 1e-8 and worst_dual <= 1e-9
     detail = (
@@ -189,7 +186,7 @@ def test_criterion_5_kkt_residuals(paper_cp, paper_tree, rng):
     for N in HORIZONS:
         cp = paper_cp(N)
         tree = paper_tree(N, "iter")
-        for nd, result in zip(tree.nodes, node_results(cp, tree)):
+        for nd, solve in zip(tree.nodes, node_results(cp, tree)):
             nodes += 1
             cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
             points = [cheb.center]
@@ -197,11 +194,11 @@ def test_criterion_5_kkt_residuals(paper_cp, paper_tree, rng):
                 d = rng.normal(size=cp.n)
                 points.append(cheb.center + 0.5 * cheb.radius * d / np.linalg.norm(d))
             for x0 in points:
-                res = kkt_residuals(cp, result, x0)
+                res = kkt_residuals(cp, nd.active, x0, solve.xi(x0), solve.duals(x0))
                 worst_res = max(
                     worst_res, res["stationarity"], res["primal_eq"], res["complementarity"]
                 )
-            mu = result.duals.mu_active(cheb.center)
+            mu = solve.duals(cheb.center)[cp.nbar_c :]
             if mu.size:
                 worst_mu = min(worst_mu, float(mu.min()))
     ok = worst_res <= 1e-7 and (worst_mu >= -1e-8 or not np.isfinite(worst_mu))
@@ -225,14 +222,14 @@ def test_criterion_6_coverage(paper_tree, oracle_samples):
     _report(6, "coverage", ok, detail)
 
 
-def test_criterion_8_double_integrator_against_oracle(dint_cp, dint_tree):
+def test_criterion_8_double_integrator_against_oracle(dint_problem, dint_cp, dint_tree):
     t0 = time.perf_counter()
     worst = 0.0
     ok = True
     detail = ""
     for nd in dint_tree.nodes:
         center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
-        sol = oracle_qp(dint_cp, center)
+        sol = oracle_qp(dint_problem, center)
         if sol is None:
             ok, detail = False, "oracle infeasible at a region center"
             break
@@ -248,3 +245,30 @@ def test_criterion_8_double_integrator_against_oracle(dint_cp, dint_tree):
     if ok:
         detail = f"{dint_tree.num_regions} regions, max law diff {worst:.2e}, {elapsed:.1f}s"
     _report(8, "double-integrator oracle agreement", ok, detail)
+
+
+def test_criterion_9_cz_terminal_against_oracle(paper_doc):
+    # the paper's CZ case: N=1 with the LQR-invariant terminal set, whose
+    # oracle rows are H0 M^j of the recurrence
+    t0 = time.perf_counter()
+    problem, _ = parse_problem(dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}}))
+    cp = build_condensed_qp(problem)
+    worst = 0.0
+    ok = True
+    detail = ""
+    regions = {}
+    for variant in VARIANT_NAMES:
+        tree = explore(cp, variant=variant)
+        regions[variant] = tree.num_regions
+        for nd in tree.nodes:
+            center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
+            sol = oracle_qp(problem, center)
+            if sol is None:
+                ok, detail = False, f"oracle infeasible at a region center ({variant})"
+                break
+            worst = max(worst, float(np.max(np.abs(nd.law(center) - sol.u_star) / (1.0 + np.abs(sol.u_star)))))
+    elapsed = time.perf_counter() - t0
+    ok = ok and worst <= 1e-6 and elapsed < 30.0
+    if ok:
+        detail = f"regions {regions}, max rel law diff {worst:.2e}, {elapsed:.1f}s"
+    _report(9, "CZ terminal set oracle agreement", ok, detail)

@@ -4,18 +4,20 @@ import pathlib
 
 import numpy as np
 import pytest
+from oracle import polyhedral_rows
 
 from czempc import cli, lp
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_STOPPED, main, parse_problem
-from czempc.condense import MpcProblem, TerminalRecurrence, build_terminal_set
+from czempc.condense import MpcProblem, TerminalRecurrence, build_prediction_matrices, build_terminal_set
 from czempc.explorer import explore, import_json
 from czempc.regions import AffineLaw, reduced_active_set
 from czempc.runtime import evaluate
-from czempc.sets import DimensionMismatch
+from czempc.sets import DimensionMismatch, Polytope, chebyshev
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DINT_PROBLEM = ROOT / "problems" / "doubleint.json"
 PAPER_PROBLEM = ROOT / "problems" / "paper4state.json"
+SEGMENT_PROBLEM = ROOT / "problems" / "segment_terminal.json"
 
 
 def test_parse_problem(dint_doc):
@@ -214,6 +216,17 @@ def test_bench_variant_counts_agree(tmp_path):
     assert len(set(counts.values())) == 1  # all variants find the same region count
 
 
+def test_bench_lower_dimensional_terminal_set(tmp_path):
+    # at N=1 the segment terminal set leaves more lifted equalities than
+    # coordinates (nbar_c > Dbar), so even the root is singular: an
+    # infeasible row, not a traceback
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(SEGMENT_PROBLEM), "--nmax", "3", "--out", str(csv_path)]) == EXIT_OK
+    lines = csv_path.read_text().strip().splitlines()[1:]
+    assert lines[:2] == ["baseline,1,infeasible,,,,", "iter,1,infeasible,,,,"]
+    assert [line.split(",")[2] for line in lines[2:]] == ["1", "1", "9", "9"]
+
+
 def test_bench_unknown_variant(tmp_path):
     assert main(["bench", str(DINT_PROBLEM), "--variants", "turbo"]) == EXIT_PARSE
 
@@ -299,13 +312,13 @@ def _eval_lines(tree, capsys):
     return capsys.readouterr().out.splitlines()
 
 
-def test_eval_reads_version_1_tree_with_ared(tmp_path, capsys, dint_cp):
+def test_eval_reads_version_1_tree_with_ared(tmp_path, capsys, dint_problem):
     # version-1 files carry each node's reduced active set, which is ignored
     def older(d):
         d["version"] = 1
         for nd in d["nodes"]:
             law = AffineLaw(np.array(nd["Ku"]), np.array(nd["ku"]))
-            nd["ared"] = list(reduced_active_set(dint_cp, law))
+            nd["ared"] = list(reduced_active_set(*polyhedral_rows(dint_problem), law))
 
     current = _write_tree(tmp_path, lambda d: None)
     data = json.loads(current.read_text())
@@ -471,6 +484,26 @@ def test_solve_paper_problem_with_cz_terminal_set(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path), str(tmp_path / "out.json"), "-N", "1"]) == EXIT_OK
     assert "77 critical regions" in capsys.readouterr().out
+
+
+def test_solve_lower_dimensional_terminal_set(tmp_path, capsys):
+    # the terminal set is the segment {(s, 0, 0) : |s| <= 2}, which has no
+    # facets in the state space; condensing needs none
+    problem, _ = parse_problem(json.loads(SEGMENT_PROBLEM.read_text()))
+    pred = build_prediction_matrices(problem.A_d, problem.B_d, problem.N)
+    trees = {}
+    for variant in ("iter", "baseline"):
+        out = tmp_path / f"{variant}.json"
+        assert main(["solve", str(SEGMENT_PROBLEM), str(out), "--variant", variant]) == EXIT_OK
+        trees[variant] = import_json(out.read_text())
+    assert "9 critical regions" in capsys.readouterr().out
+    assert [nd.active for nd in trees["iter"].nodes] == [nd.active for nd in trees["baseline"].nodes]
+    for tree in trees.values():
+        assert tree.num_regions == 9
+        for nd in tree.nodes:
+            center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
+            x_N = pred.Atilde_N @ center + pred.Btilde_N @ nd.law(center)
+            assert np.max(np.abs(x_N[1:])) <= 1e-9 and abs(x_N[0]) <= 2.0 + 1e-9
 
 
 def test_unknown_variant_option(tmp_path):

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from oracle import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 
 from czempc import explorer
 from czempc.condense import MpcProblem, build_condensed_qp
@@ -20,8 +21,7 @@ from czempc.explorer import (
     export_json,
     import_json,
 )
-from czempc.regions import ActiveSet, DualSolution, KktCache, RegionResult, RegionStack
-from czempc.runtime import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
+from czempc.regions import ActiveSet, RegionResult, RegionStack
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, is_empty_stack
 
 
@@ -135,15 +135,26 @@ def test_node_cap(dint_cp):
         explore(dint_cp, node_cap=3)
 
 
-def test_infeasible_root():
+def test_infeasible_root(dint_problem):
+    # a terminal set far outside X: no initial state can reach it
+    far = Zonotope(np.array([100.0, 100.0]), np.eye(2))
+    cp = build_condensed_qp(dataclasses.replace(dint_problem, T=far))
+    for variant in VARIANTS:
+        with pytest.raises(InfeasibleProblem, match="root critical region is empty"):
+            explore(cp, variant=variant)
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleProblem, reason=(
+    "ROADMAP item 4: with a non-parallelotope zonotope the lifted reduced Hessian is singular "
+    "along directions that leave u unchanged, so the root is rejected as second_order"))
+def test_hexagon_problem_agrees_with_oracle():
     hexa = Zonotope(np.zeros(2), np.array([[4.0, 1.0, 0.5], [0.0, 3.0, 1.0]]))
     p = MpcProblem(
         np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]]),
         np.eye(2), np.array([[0.1]]), np.eye(2), 2,
         hexa, Zonotope(np.zeros(1), np.eye(1)), hexa,
     )
-    with pytest.raises(InfeasibleProblem):
-        explore(build_condensed_qp(p))
+    _assert_variants_match_oracle(p)
 
 
 def _cz_terminal_problem():
@@ -152,49 +163,49 @@ def _cz_terminal_problem():
     T = ConstrainedZonotope(
         np.zeros(2), 5.0 * np.eye(2), np.array([[1.0, 1.0]]), np.array([0.0])
     )
-    p = MpcProblem(
+    return MpcProblem(
         np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]]),
         np.eye(2), np.array([[0.1]]), np.eye(2), 2,
         box5, Zonotope(np.zeros(1), np.eye(1)), T,
     )
-    return build_condensed_qp(p)
 
 
 def test_explores_cz_terminal_without_polyhedral_rows():
-    cp = _cz_terminal_problem()
-    assert not cp.poly_has_terminal
+    cp = build_condensed_qp(_cz_terminal_problem())
+    assert cp.terminal.num_constraints == 1
     # the CZ machinery handles the equality-constrained terminal on its own
     tree = explore(cp, variant="iter")
     assert tree.num_regions > 0
 
 
 def test_oracle_requires_polyhedral_terminal():
-    # the polyhedral rows lack the terminal constraint, so the oracle refuses
-    # rather than answer for a larger feasible set
-    cp = _cz_terminal_problem()
+    # an explicit terminal set with equality rows has no facet form here, so
+    # the oracle refuses rather than answer for a larger feasible set
+    problem = _cz_terminal_problem()
     with pytest.raises(ValueError):
-        ActiveSubsetOracle(cp)
+        ActiveSubsetOracle(problem)
     with pytest.raises(ValueError):
-        oracle_qp(cp, np.zeros(2))
+        oracle_qp(problem, np.zeros(2))
     with pytest.raises(ValueError):
-        polyhedral_feasible(cp, np.zeros(2))
+        polyhedral_feasible(problem, np.zeros(2))
 
 
 def _parallelotope_problem(A, B, GX, GU, N):
     n, m = B.shape
-    return build_condensed_qp(MpcProblem(
+    return MpcProblem(
         A, B, np.eye(n), 0.1 * np.eye(m), np.eye(n), N,
         Zonotope(np.zeros(n), GX), Zonotope(np.zeros(m), GU), Zonotope(np.zeros(n), 0.7 * GX),
-    ))
+    )
 
 
-def _assert_variants_match_oracle(cp):
+def _assert_variants_match_oracle(problem):
+    cp = build_condensed_qp(problem)
     trees = {v: explore(cp, variant=v) for v in VARIANTS}
     assert set(trees["iter"].index) == set(trees["baseline"].index)
     for tree in trees.values():
         for nd in tree.nodes:
             center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
-            sol = oracle_qp(cp, center)
+            sol = oracle_qp(problem, center)
             assert sol is not None
             assert np.all(np.abs(nd.law(center) - sol.u_star) <= 1e-6 * (1.0 + np.abs(sol.u_star)))
     return trees
@@ -203,26 +214,26 @@ def _assert_variants_match_oracle(cp):
 def test_chebyshev_unbounded_dual_is_empty():
     # `iter` regions here carry rows with norms near 1e-13 and offsets up to
     # 3e5; the Chebyshev dual LP then reports unbounded, which means empty
-    cp = _parallelotope_problem(
+    problem = _parallelotope_problem(
         np.array([[0.76, -0.23], [-0.48, 1.28]]), np.array([[0.27], [0.49]]),
         np.array([[4.36, 2.01], [1.75, 2.25]]), np.array([[-1.06]]), 3,
     )
-    trees = _assert_variants_match_oracle(cp)
+    trees = _assert_variants_match_oracle(problem)
     assert trees["iter"].num_regions == 41
 
 
 def test_baseline_law_on_drift_repro():
     # the low-rank-drift repro: `iter`'s law drifts about 1e-6 from the oracle
     # here (an open defect of the updates); the from-scratch solve must not
-    cp = _parallelotope_problem(
+    problem = _parallelotope_problem(
         np.array([[0.939, -0.4732], [0.1119, 0.6569]]), np.array([[-1.7159, -0.2792], [0.2815, 1.2825]]),
         np.array([[0.8474, 2.4181], [-3.6776, -0.0676]]), np.array([[0.1242, 0.8622], [0.1161, 0.8041]]), 2,
     )
-    tree = explore(cp, variant="baseline")
+    tree = explore(build_condensed_qp(problem), variant="baseline")
     assert tree.num_regions == 23
     for nd in tree.nodes:
         center = chebyshev(Polytope(nd.region.L, nd.region.l)).center
-        sol = oracle_qp(cp, center)
+        sol = oracle_qp(problem, center)
         assert np.all(np.abs(nd.law(center) - sol.u_star) <= 1e-8 * (1.0 + np.abs(sol.u_star)))
 
 
@@ -284,7 +295,7 @@ def test_tree_nodes_hold_only_law_region_and_place(dint_tree):
         if isinstance(obj, type) or id(obj) in seen:
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, (RegionResult, KktCache, DualSolution, RegionStack))
+        assert not isinstance(obj, (RegionResult, RegionStack))
         todo.extend(gc.get_referents(obj))
     assert len(seen) > 4 * dint_tree.num_regions
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from czempc import lp
-from czempc.lp import LpResult, SimplexStalled, solve_lp, solve_lp_stack, solve_stack, solve_standard_form
+from czempc.lp import LpResult, SimplexStalled, solve_lp, solve_lp_stack, solve_stack
 
 
 def test_simple_bounded():
@@ -23,7 +23,7 @@ def _slack_form(c, A_ub, b_ub):
 def test_inequality_rows():
     # min -x s.t. x + y <= 1, 0 <= x, y <= 10
     A_ub = np.vstack([[1.0, 1.0], np.eye(2)])
-    res = solve_standard_form(*_slack_form(np.array([-1.0, 0.0]), A_ub, np.array([1.0, 10.0, 10.0])))
+    res = solve_stack(*_slack_form(np.array([-1.0, 0.0]), A_ub, np.array([1.0, 10.0, 10.0])))[0]
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -56,7 +56,7 @@ def test_infeasible():
 
 def test_unbounded():
     # min -x s.t. -x <= 0, x >= 0
-    res = solve_standard_form(*_slack_form(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])))
+    res = solve_stack(*_slack_form(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0])))[0]
     assert res.status == "unbounded"
 
 
@@ -72,7 +72,7 @@ def test_degenerate_does_not_cycle():
     # classic degeneracy: many redundant constraints through the optimum; 0 <= x <= 5
     A_ub = np.vstack([[[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], np.eye(2)])
     b_ub = np.array([1.0, 1.0, 1.0, 1.0, 5.0, 5.0])
-    res = solve_standard_form(*_slack_form(np.array([-1.0, 0.0]), A_ub, b_ub))
+    res = solve_stack(*_slack_form(np.array([-1.0, 0.0]), A_ub, b_ub))[0]
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -88,7 +88,7 @@ def test_random_against_scipy(seed):
     # -1 <= x <= 1 as y = x + 1 in [0, 2]
     A_y = np.vstack([A_ub, np.eye(n)])
     b_y = np.concatenate([b_ub + A_ub.sum(axis=1), np.full(n, 2.0)])
-    res = solve_standard_form(*_slack_form(c, A_y, b_y))
+    res = solve_stack(*_slack_form(c, A_y, b_y))[0]
     ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-1, 1)] * n, method="highs")
     assert res.status == "optimal" and ref.status == 0
     x = res.x[:n] - 1.0
@@ -222,7 +222,7 @@ def test_stack_matches_one_by_one(seed):
     stacked = solve_stack(A, b, C, cutoff=cutoff)
     seen = set()
     for k, kind in enumerate(kinds):
-        alone = solve_standard_form(A[k], b[k], C[k], cutoff=cutoff[k])
+        alone = solve_stack(A[k], b[k], C[k], cutoff=cutoff[k])[0]
         res = stacked[k]
         assert res.status == alone.status
         seen.add(res.status)
@@ -322,11 +322,11 @@ def test_shared_phase_one_matches_separate_solves():
 def test_cutoff_stops_at_a_feasible_point():
     # min x0 + 2 x1 + 3 x2 s.t. x0 + x1 + x2 = 1, x >= 0; optimum 1
     A, b, c = np.ones((1, 3)), np.ones(1), np.array([1.0, 2.0, 3.0])
-    assert solve_standard_form(A, b, c).fun == pytest.approx(1.0)
-    res = solve_standard_form(A, b, c, cutoff=2.5)
+    assert solve_stack(A, b, c)[0].fun == pytest.approx(1.0)
+    res = solve_stack(A, b, c, cutoff=2.5)[0]
     assert res.status == "cutoff"
     assert 1.0 <= res.fun < 2.5  # an upper bound on the optimum, below the cutoff
-    assert solve_standard_form(A, b, c, cutoff=0.5).status == "optimal"
+    assert solve_stack(A, b, c, cutoff=0.5)[0].status == "optimal"
 
 
 def test_empty_stack_returns_at_once(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import node_results
+from oracle import kkt_residuals, polyhedral_rows
 
 from czempc import explorer, regions
 from czempc.cli import parse_problem
@@ -14,7 +15,6 @@ from czempc.regions import (
     _finish,
     _invert,
     _positive_definite,
-    kkt_residuals,
     reduced_active_set,
     region_from_scratch,
     region_iterative,
@@ -70,8 +70,8 @@ def test_iterative_matches_scratch_one_level(dint_cp):
         np.testing.assert_allclose(it.region.L, sc.region.L, atol=1e-9)
         np.testing.assert_allclose(it.region.l, sc.region.l, atol=1e-9)
         # Kinv depends on the null basis; verify it in the chain's own basis
-        K = np.vstack([it.cache.Z.T @ cp.GQG, cp.F_D, cp.Y[[i]]])
-        np.testing.assert_allclose(it.cache.Kinv, np.linalg.inv(K), atol=1e-8)
+        K = np.vstack([it.Z.T @ cp.GQG, cp.F_D, cp.Y[[i]]])
+        np.testing.assert_allclose(it.Kinv, np.linalg.inv(K), atol=1e-8)
         checked += 1
     assert checked > 0
 
@@ -86,11 +86,11 @@ def test_children_stack_matches_scratch(case, paper_doc):
     cp = build_condensed_qp(parse_problem(doc)[0])
     tree = explore(cp, variant="iter")
     accepted = rejected = 0
-    for nd, res in zip(tree.nodes, node_results(cp, tree)):
+    for nd, solve in zip(tree.nodes, node_results(cp, tree)):
         if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
             continue
         candidates = candidate_indices(nd.active)
-        stack = region_iterative(cp, res, candidates)
+        stack = region_iterative(cp, solve.result(), candidates)
         assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
         for position, i in enumerate(candidates):
             child = nd.active.with_index(i)
@@ -103,9 +103,9 @@ def test_children_stack_matches_scratch(case, paper_doc):
                 continue
             it = stack.result(position)
             assert it.active == child
-            ref = scratch_reference(cp, child)
+            S, S_ref = stack.S[np.searchsorted(stack.kept, position)], scratch_reference(cp, child).S[0]
             for got, want in [(it.law.Ku, sc.law.Ku), (it.law.ku, sc.law.ku), (it.region.L, sc.region.L),
-                              (it.region.l, sc.region.l), (it.duals.S, ref.duals.S), (it.duals.s, ref.duals.s)]:
+                              (it.region.l, sc.region.l), (S[:, 1:], S_ref[:, 1:]), (S[:, 0], S_ref[:, 0])]:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * (1.0 + np.abs(want).max()))
             accepted += 1
     assert accepted > 100 and rejected > 100
@@ -120,7 +120,7 @@ def test_node_results_replay_the_explored_tree(case, variant, paper_doc):
     doc = dict(paper_doc, N=3) if case == "paper4state-N3" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
     cp = build_condensed_qp(parse_problem(doc)[0])
     tree = explore(cp, variant=variant)
-    results = node_results(cp, tree)
+    results = [solve.result() for solve in node_results(cp, tree)]
     assert [res.active for res in results] == [nd.active for nd in tree.nodes]
     for nd, res in zip(tree.nodes, results):
         for got, want in [(res.law.Ku, nd.law.Ku), (res.law.ku, nd.law.ku), (res.region.L, nd.region.L),
@@ -135,7 +135,8 @@ def scratch_reference(cp, active):
     """Reference from-scratch solve of one candidate, independent of the
     stacked SVD: pivoted-QR null basis, dense inverse, laws and region rows
     as a stack of one, then the duals ``-pinv(T) grad`` through the SVD
-    pseudoinverse of ``T = [F_D' Y_A']`` and the region rows they bound."""
+    pseudoinverse of ``T = [F_D' Y_A']`` and the region rows they bound.
+    Returns the stack of one."""
     nA = active.cardinality
     if nA > cp.Dbar - cp.nbar_c:
         raise RegionRejected("singular")
@@ -157,21 +158,22 @@ def scratch_reference(cp, active):
     stack.S[0] = S
     rows = 2 * cp.Dbar - nA  # the inactive facets come first, then mu_A >= 0
     stack.L[0, rows:], stack.l[0, rows:] = -S[cp.nbar_c :, 1:], S[cp.nbar_c :, 0]
-    return stack.result(0)
+    return stack
 
 
 def _check_against_reference(cp, stack, position, active):
     """Candidate ``position`` of ``stack`` has the reference's rejection reason
     or, when accepted, its law, duals and region rows; returns the reason."""
     try:
-        ref = scratch_reference(cp, active)
+        ref_stack = scratch_reference(cp, active)
     except RegionRejected as exc:
         assert stack.reasons[position] == exc.reason
         return exc.reason
-    got = stack.result(position)
+    got, ref = stack.result(position), ref_stack.result(0)
     assert got.active == active
-    for g, w in [(got.law.Ku, ref.law.Ku), (got.law.ku, ref.law.ku), (got.duals.S, ref.duals.S),
-                 (got.duals.s, ref.duals.s), (got.region.L, ref.region.L), (got.region.l, ref.region.l)]:
+    S, S_ref = stack.S[np.searchsorted(stack.kept, position)], ref_stack.S[0]
+    for g, w in [(got.law.Ku, ref.law.Ku), (got.law.ku, ref.law.ku), (S[:, 1:], S_ref[:, 1:]),
+                 (S[:, 0], S_ref[:, 0]), (got.region.L, ref.region.L), (got.region.l, ref.region.l)]:
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-9 * (1.0 + np.abs(w).max()))
     return None
 
@@ -216,10 +218,11 @@ def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
     # a node with Dbar - nbar_c active facets has a null basis Z without
     # columns: every child has more constraints than lifted coordinates
     cp = dint_cp
-    full = [res for res in node_results(cp, dint_tree) if res.active.cardinality == cp.Dbar - cp.nbar_c]
+    results = [solve.result() for solve in node_results(cp, dint_tree)]
+    full = [res for res in results if res.active.cardinality == cp.Dbar - cp.nbar_c]
     assert len(full) == 4
     for res in full:
-        assert res.cache.Z.shape == (cp.Dbar, 0)
+        assert res.Z.shape == (cp.Dbar, 0)
         candidates = candidate_indices(res.active)
         stack = region_iterative(cp, res, candidates)
         assert stack.reasons == ["singular"] * len(candidates)
@@ -233,7 +236,7 @@ def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
 def test_iterative_retry_after_singular_update(dint_cp, dint_tree):
     # a large eps makes the Woodbury test reject part of the root's stack;
     # the children kept must be those solved without the rejected ones
-    cp, root = dint_cp, node_results(dint_cp, dint_tree)[0]
+    cp, root = dint_cp, node_results(dint_cp, dint_tree)[0].result()
     candidates = candidate_indices(root.active)
     loose = region_iterative(cp, root, candidates)
     stack = region_iterative(cp, root, candidates, eps=0.3)
@@ -347,9 +350,9 @@ def test_second_order_rejection_redundant_generators():
 
 def test_xi_star_respects_facets(dint_tree, dint_cp):
     cp = dint_cp
-    for nd, res in zip(dint_tree.nodes, node_results(cp, dint_tree)):
+    for nd, solve in zip(dint_tree.nodes, node_results(cp, dint_tree)):
         cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
-        xi = res.xi_star(cheb.center)
+        xi = solve.xi(cheb.center)
         slack = cp.Y @ xi - 1.0
         if nd.active.indices:
             assert np.max(np.abs(slack[list(nd.active.indices)])) <= 1e-8
@@ -357,32 +360,32 @@ def test_xi_star_respects_facets(dint_tree, dint_cp):
 
 
 def test_kkt_residuals_interior(dint_tree, dint_cp, rng):
-    for nd, result in zip(dint_tree.nodes, node_results(dint_cp, dint_tree)):
+    for nd, solve in zip(dint_tree.nodes, node_results(dint_cp, dint_tree)):
         cheb = chebyshev(Polytope(nd.region.L, nd.region.l))
         for _ in range(3):
             d = rng.normal(size=dint_cp.n)
             x0 = cheb.center + 0.4 * cheb.radius * d / np.linalg.norm(d)
-            res = kkt_residuals(dint_cp, result, x0)
+            res = kkt_residuals(dint_cp, nd.active, x0, solve.xi(x0), solve.duals(x0))
             assert res["stationarity"] <= 1e-8
             assert res["primal_eq"] <= 1e-8
             assert res["primal_ineq"] <= 1e-8
             assert res["complementarity"] <= 1e-8
 
 
-def test_reduced_active_set_root_empty(dint_cp):
+def test_reduced_active_set_root_empty(dint_problem, dint_cp):
     root = region_from_scratch(dint_cp, ActiveSet(dint_cp.Dbar), [-1]).result(0)
-    assert reduced_active_set(dint_cp, root.law) == ()
+    assert reduced_active_set(*polyhedral_rows(dint_problem), root.law) == ()
 
 
-def test_reduced_active_set_saturated_input(dint_cp, dint_tree):
-    cp = dint_cp
+def test_reduced_active_set_saturated_input(dint_problem, dint_tree):
+    A, b, E = polyhedral_rows(dint_problem)
     # node activating the first input coordinate's upper facet pins one input row
     pinned = [nd for nd in dint_tree.nodes if nd.active.indices == (0,)]
     assert pinned
-    ared = reduced_active_set(cp, pinned[0].law)
+    ared = reduced_active_set(A, b, E, pinned[0].law)
     assert len(ared) == 1
     j = ared[0]
     # the pinned row is an input row: no parameter dependence, unit input coefficient
-    np.testing.assert_allclose(cp.E_poly[j], 0, atol=1e-12)
-    assert abs(cp.A_poly[j] @ pinned[0].law.ku - cp.b_poly[j]) <= 1e-9
+    np.testing.assert_allclose(E[j], 0, atol=1e-12)
+    assert abs(A[j] @ pinned[0].law.ku - b[j]) <= 1e-9
 

@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from oracle import ActiveSubsetOracle, CapExceeded, oracle_for, oracle_qp, polyhedral_feasible, polyhedral_rows
 
 from czempc.explorer import export_json, import_json
-from czempc.runtime import (
-    LOCATE_TOL,
-    ActiveSubsetOracle,
-    CapExceeded,
-    InfeasibleError,
-    evaluate,
-    locate,
-    oracle_qp,
-    polyhedral_feasible,
-    simulate,
-)
+from czempc.runtime import LOCATE_TOL, InfeasibleError, evaluate, locate, simulate
 from czempc.sets import Polytope, chebyshev
 
 
@@ -146,32 +137,33 @@ def test_simulate_infeasible_start(dint_problem, dint_tree):
         simulate(dint_tree, *_dynamics(dint_problem), np.array([30.0, 0.0]), 3)
 
 
-def test_polyhedral_feasible(dint_cp):
-    assert polyhedral_feasible(dint_cp, np.zeros(2))
-    assert not polyhedral_feasible(dint_cp, np.array([30.0, 0.0]))
+def test_polyhedral_feasible(dint_problem):
+    assert polyhedral_feasible(dint_problem, np.zeros(2))
+    assert not polyhedral_feasible(dint_problem, np.array([30.0, 0.0]))
 
 
 @pytest.mark.parametrize("problem", ["doubleint", "paper4state"])
-def test_polyhedral_feasible_against_highs(problem, dint_cp, paper_cp):
-    cp, half = (dint_cp, 8.0) if problem == "doubleint" else (paper_cp(2), 12.0)
+def test_polyhedral_feasible_against_highs(problem, dint_problem, paper_problem):
+    p, half = (dint_problem, 8.0) if problem == "doubleint" else (paper_problem(2), 12.0)
+    A, b, E = polyhedral_rows(p)
     rng = np.random.default_rng(7)
     verdicts = []
     for _ in range(60):
-        x0 = rng.uniform(-half, half, size=cp.n)
+        x0 = rng.uniform(-half, half, size=p.n)
         ref = scipy.optimize.linprog(
-            np.zeros(cp.A_poly.shape[1]), A_ub=cp.A_poly, b_ub=cp.b_poly + cp.E_poly @ x0,
+            np.zeros(A.shape[1]), A_ub=A, b_ub=b + E @ x0,
             bounds=(None, None), method="highs",
         )
         assert ref.status in (0, 2)  # feasible or infeasible
-        assert polyhedral_feasible(cp, x0) == (ref.status == 0)
+        assert polyhedral_feasible(p, x0) == (ref.status == 0)
         verdicts.append(ref.status == 0)
     assert any(verdicts) and not all(verdicts)
 
 
-def test_oracle_unconstrained_region(dint_cp):
+def test_oracle_unconstrained_region(dint_problem, dint_cp):
     # near the origin no constraint is active: KKT solution is -Qt^{-1} Ht' x0
     x0 = np.array([0.2, -0.1])
-    sol = oracle_qp(dint_cp, x0)
+    sol = oracle_qp(dint_problem, x0)
     assert sol is not None
     assert sol.active_rows == ()
     u_ref = -np.linalg.solve(dint_cp.Qtilde, dint_cp.Htilde.T @ x0)
@@ -179,37 +171,38 @@ def test_oracle_unconstrained_region(dint_cp):
     assert sol.cost == pytest.approx(dint_cp.objective(u_ref, x0), abs=1e-10)
 
 
-def test_oracle_infeasible(dint_cp):
-    assert oracle_qp(dint_cp, np.array([30.0, 0.0])) is None
+def test_oracle_infeasible(dint_problem):
+    assert oracle_qp(dint_problem, np.array([30.0, 0.0])) is None
 
 
-def test_oracle_feasibility_matches_lp(dint_cp, rng):
+def test_oracle_feasibility_matches_lp(dint_problem, rng):
     for _ in range(30):
         x0 = rng.uniform(-8, 8, size=2)
-        assert (oracle_qp(dint_cp, x0) is not None) == polyhedral_feasible(dint_cp, x0)
+        assert (oracle_qp(dint_problem, x0) is not None) == polyhedral_feasible(dint_problem, x0)
 
 
-def test_oracle_never_beaten_by_feasible_points(dint_cp, rng):
+def test_oracle_never_beaten_by_feasible_points(dint_problem, dint_cp, rng):
     """No feasible input may cost less than the oracle optimum."""
     x0 = np.array([1.5, 0.3])
-    sol = oracle_qp(dint_cp, x0)
-    rhs = dint_cp.b_poly + dint_cp.E_poly @ x0
+    sol = oracle_qp(dint_problem, x0)
+    A, b, E = polyhedral_rows(dint_problem)
+    rhs = b + E @ x0
     for _ in range(300):
         u = rng.uniform(-1, 1, size=dint_cp.N * dint_cp.m)
-        if np.all(dint_cp.A_poly @ u <= rhs):
+        if np.all(A @ u <= rhs):
             assert dint_cp.objective(u, x0) >= sol.cost - 1e-9
 
 
-def test_oracle_cached_on_problem(dint_cp):
-    oracle_qp(dint_cp, np.zeros(2))
-    first = dint_cp._oracle
-    oracle_qp(dint_cp, np.ones(2))
-    assert dint_cp._oracle is first
+def test_oracle_cached_on_problem(dint_problem):
+    oracle_qp(dint_problem, np.zeros(2))
+    first = oracle_for(dint_problem)
+    oracle_qp(dint_problem, np.ones(2))
+    assert oracle_for(dint_problem) is first
 
 
-def test_oracle_size_cap(dint_cp):
+def test_oracle_size_cap(dint_problem):
     with pytest.raises(CapExceeded):
-        ActiveSubsetOracle(dint_cp, size_cap=5)
+        ActiveSubsetOracle(dint_problem, size_cap=5)
 
 
 def test_simulate_rejects_negative_steps(dint_tree, dint_problem):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from oracle import cz_contains_point, cz_is_empty, zonotope_halfspaces
 
 from czempc.sets import (
     DEFAULT_RADIUS_THRESHOLD,
@@ -11,14 +12,11 @@ from czempc.sets import (
     Zonotope,
     affine_map,
     chebyshev,
-    cz_contains_point,
-    cz_is_empty,
     intersect,
     generalized_intersect,
     is_empty,
     is_empty_stack,
     support,
-    zonotope_halfspaces,
 )
 
 # hexagonal zonotope reused across several tests
