@@ -10,10 +10,11 @@ state, input and terminal sets need no facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from czempc.lp import solve_stack
 from czempc.sets import (
     ConstrainedZonotope,
     DimensionMismatch,
@@ -299,3 +300,64 @@ def build_condensed_qp(p: MpcProblem) -> CondensedProblem:
         Y=Y,
         terminal=T,
     )
+
+
+NEVER_BINDS_MARGIN = 1e-6  # a coordinate never binds when both its maxima stay below 1 - this
+
+
+def never_binding(cp: CondensedProblem) -> np.ndarray:
+    """The lifted coordinates ``E`` whose facets ``±xi_i <= 1`` are active at
+    no feasible point, for no x0, and that the cost does not read.
+
+    ``theta2_D`` has rank n (its first block is -I), so the rows ``P`` of
+    its left null space project x0 out: every feasible xi lies in
+    ``{A xi = b, |xi| <= 1}`` with ``A = P F_D`` and ``b = P theta1_D``,
+    that is ``xi = xi0 + V z`` with ``A xi0 = b``, ``V`` a basis of
+    ``null(A)`` and ``|xi0 + V z| <= 1``. Coordinate i is in ``E`` when
+    column i of ``G_D`` is zero and both maxima of ``±xi_i`` stay below
+    ``1 - NEVER_BINDS_MARGIN``. Each maximum ``±xi0_i + max ±V_i z`` is
+    solved through its dual, ``min [1 - xi0; 1 + xi0]'y`` s.t.
+    ``[V' -V'] y = ±V_i'``, ``y >= 0``, which has one row per column of
+    ``V``; all of them form one stack. An unbounded dual means that no xi is
+    feasible; then, as when ``A xi = b`` has no solution, ``E`` is empty. A
+    coordinate that reaches 1 on one side only stays out of ``E``.
+    """
+    P = np.linalg.svd(cp.theta2_D, full_matrices=True)[0][:, cp.n :].T
+    A, b = P @ cp.F_D, P @ cp.theta1_D
+    free = np.flatnonzero(~cp.G_D.any(axis=0))
+    xi0 = np.linalg.lstsq(A, b, rcond=None)[0]
+    if np.abs(A @ xi0 - b).max(initial=0.0) > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
+        return np.arange(0)
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    V = Vt[np.sum(s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps) :].T  # numpy's rank test
+    c = np.concatenate([V[free], -V[free]])  # rows: maximise xi_i, then -xi_i
+    costs = np.concatenate([1.0 - xi0, 1.0 + xi0])
+    duals = solve_stack(
+        np.broadcast_to(np.hstack([V.T, -V.T]), (len(c), V.shape[1], 2 * cp.Dbar)), c,
+        np.broadcast_to(costs, (len(c), costs.size)),
+    )
+    reach = np.concatenate([xi0[free], -xi0[free]]) + [res.fun if res.status == "optimal" else np.inf for res in duals]
+    return free[np.maximum(reach[: free.size], reach[free.size :]) < 1.0 - NEVER_BINDS_MARGIN]
+
+
+def eliminate(cp: CondensedProblem, E: np.ndarray) -> tuple:
+    """The problem over the other lifted coordinates ``R``, for the set ``E``
+    of :func:`never_binding`; returns it, ``R`` and ``F_E^+``.
+
+    With ``W`` an orthonormal basis of ``null(F_E')``, ``F_D xi = theta``
+    splits into ``W' F_R xi_R = W' theta`` and
+    ``xi_E = F_E^+ (theta - F_R xi_R)``, exactly: ``F_E`` has full column
+    rank, since a null direction would let some E coordinate reach ±1. The
+    box bounds of ``xi_E`` never bind and ``G_D`` does not read ``xi_E``, so
+    the problem with ``F' = W' F_R``, ``theta' = W' theta`` and
+    ``G_D' = G_D[:, R]`` has the same laws, multipliers and critical regions
+    for every active set over ``R``.
+    """
+    R = np.setdiff1d(np.arange(cp.Dbar), E)
+    U, s, Vt = np.linalg.svd(cp.F_D[:, E], full_matrices=True)
+    W = U[:, E.size :]
+    reduced = replace(
+        cp, G_D=cp.G_D[:, R], F_D=W.T @ cp.F_D[:, R], theta1_D=W.T @ cp.theta1_D, theta2_D=W.T @ cp.theta2_D,
+        Dbar=R.size, nbar_c=W.shape[1], Y=np.vstack([np.eye(R.size), -np.eye(R.size)]),
+    )
+    return reduced, R, (Vt.T / s) @ U[:, : E.size].T

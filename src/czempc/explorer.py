@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from czempc.condense import CondensedProblem
+from czempc.condense import CondensedProblem, eliminate, never_binding
 from czempc.regions import (
     ActiveSet,
     AffineLaw,
@@ -28,10 +28,11 @@ from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_s
 
 VARIANTS = ("baseline", "iter")
 # explore gathers parents for one stacked emptiness test until their fresh
-# candidates times Dbar**2 reach this budget: about 100 candidates at
-# Dbar = 22, 39 at Dbar = 36. A pending stack holds one to three Dbar**2
-# floats per kept candidate (iter's fewer than baseline's), so the batch's
-# stacks stay near 1 MB.
+# candidates times Dbar**2 reach this budget, Dbar being that of the reduced
+# problem: about 255 candidates at Dbar = 14 (paper4state N=3), 195 at 16
+# (N=4), 500 at 10 (N=1 with the LQR-invariant terminal set). A pending
+# stack holds one to three Dbar**2 floats per kept candidate (iter's fewer
+# than baseline's), so the batch's stacks stay near 1 MB.
 BATCH_BUDGET = 50_000
 
 
@@ -139,13 +140,27 @@ def explore(
     Either way each parent's fresh candidates are solved as one stack; the
     stacks of consecutive parents, up to :data:`BATCH_BUDGET`, are tested for
     emptiness as one stack, and both variants accept the same candidates.
+
+    The BFS runs over the lifted coordinates whose box bounds can bind: the
+    coordinates of :func:`~czempc.condense.never_binding` are eliminated
+    first, so no candidate activates one of their facets (none would be
+    accepted), and the tree is mapped back to ``cp``'s indices, every region
+    with its ``2 Dbar`` rows.
     Raises ``ValueError`` on an unknown variant, a NaN, infinite or negative
     ``radius_threshold``, or a NaN or negative ``eps``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     check_thresholds(radius_threshold, eps)
+    E = never_binding(cp)
+    if not E.size:
+        return _explore(cp, variant, radius_threshold, eps, node_cap)
+    reduced, kept, FE_pinv = eliminate(cp, E)
+    return _lift(_explore(reduced, variant, radius_threshold, eps, node_cap), cp, E, kept, FE_pinv)
 
+
+def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: float, node_cap: int) -> SolutionTree:
+    """The BFS of :func:`explore` over all of ``cp``'s lifted coordinates."""
     tree = SolutionTree(cp.Dbar, cp.n, cp.m, cp.N, variant, radius_threshold)
     try:
         root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
@@ -184,6 +199,60 @@ def explore(
             _accept(tree, results, batch, radius_threshold, node_cap)
             batch, size = [], 0  # frees the batch's stacks before the next batch
     return tree
+
+
+def _lift(
+    tree: SolutionTree, cp: CondensedProblem, E: np.ndarray, kept: np.ndarray, FE_pinv: np.ndarray
+) -> SolutionTree:
+    """``tree``, explored over the lifted coordinates ``kept`` of ``cp`` (see
+    :func:`~czempc.condense.eliminate`), in ``cp``'s indices.
+
+    Reduced facet ``f`` is facet ``lift[f]``, for active sets and edge
+    labels alike. Laws and multiplier rows stay as they are. Every region
+    gets back the rows of the eliminated coordinates ``E``, in place among
+    its inactive facets, from ``xi_E(x0) = F_E^+ (theta(x0) - F_R xi_R(x0))``;
+    ``xi_R(x0)`` is read off the region's own facet rows.
+    """
+    d, D, n, B = tree.Dbar, cp.Dbar, cp.n, tree.num_regions
+    lift = np.concatenate([kept, kept + D])
+    b, r = np.arange(B)[:, None], np.arange(2 * D)
+    # rows [l, L] of each region: its 2d - k inactive facets in increasing
+    # order, then its k multipliers (k is the cardinality)
+    rows = np.concatenate(
+        [np.stack([nd.region.l for nd in tree.nodes])[:, :, None], np.stack([nd.region.L for nd in tree.nodes])], axis=2
+    )
+    k = np.array([nd.active.cardinality for nd in tree.nodes])
+    active = np.zeros((B, 2 * d), dtype=bool)
+    for i, nd in enumerate(tree.nodes):
+        active[i, list(nd.active.indices)] = True
+    # [l, L] of every reduced facet f, [0, 0] where f is active: 1 - l and L
+    # are then the constant and slope of Y_f xi_R(x0) for every f
+    facets = np.empty_like(rows)
+    inactive = (r[: 2 * d] < 2 * d - k[:, None])[:, :, None]
+    facets[b, np.argsort(active, axis=1, kind="stable")] = np.where(inactive, rows, 0.0)
+    xi_R = facets[:, :d].copy()
+    xi_R[:, :, 0] = 1.0 - xi_R[:, :, 0]
+    xi_E = FE_pinv @ (np.column_stack([cp.theta1_D, cp.theta2_D]) - cp.F_D[:, kept] @ xi_R)
+    full = np.empty((B, 2 * D, n + 1))
+    full[:, lift] = facets
+    full[:, E, 0], full[:, E + D, 0] = 1.0 - xi_E[:, :, 0], 1.0 + xi_E[:, :, 0]
+    full[:, E, 1:], full[:, E + D, 1:] = xi_E[:, :, 1:], -xi_E[:, :, 1:]
+    full_active = np.zeros((B, 2 * D), dtype=bool)
+    full_active[:, lift] = active
+    # full row r: inactive facet r while r < 2D - k, else multiplier row
+    # r - 2(D - d), found at r + 2d once the rows follow the facets
+    order = np.argsort(full_active, axis=1, kind="stable")
+    full = np.concatenate([full, rows], axis=1)[b, np.where(r < 2 * D - k[:, None], order, r + 2 * d)]
+
+    out = SolutionTree(D, tree.n, tree.m, tree.N, tree.variant, tree.radius_threshold, stats=tree.stats)
+    for nd, region in zip(tree.nodes, full):
+        active_set = ActiveSet(D, tuple(lift[list(nd.active.indices)]))
+        edge = None if nd.edge_label is None else int(lift[nd.edge_label])
+        out.index[active_set.bits] = nd.node_id
+        out.nodes.append(RegionNode(
+            active_set, nd.law, CriticalRegion(region[:, 1:], region[:, 0]), nd.node_id, nd.parent, edge
+        ))
+    return out
 
 
 def export_dot(tree: SolutionTree) -> str:

@@ -7,6 +7,7 @@ import pytest
 
 from czempc.cli import parse_problem
 from czempc.condense import build_condensed_qp
+from czempc import explorer
 from czempc.explorer import explore
 from czempc.regions import RegionRejected, RegionStack, region_from_scratch, region_iterative
 
@@ -40,11 +41,20 @@ class NodeSolve(NamedTuple):
         return self.stack.S[self.row] @ np.r_[1.0, x0]
 
 
+def explore_unreduced(cp, **options):
+    """:func:`explore` with no lifted coordinate eliminated: the BFS over all
+    ``2 Dbar`` facets of ``cp``, the reference the reduced BFS reproduces."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explorer, "never_binding", lambda cp: np.arange(0))
+        return explore(cp, **options)
+
+
 def node_results(cp, tree, eps=1e-10) -> list:
     """The :class:`NodeSolve` of every node of an explored ``tree``, by node
-    id. Replays the tree's edges through the solver of its variant as
-    ``explore`` does: the root from scratch, then each parent's children as
-    one stack; raises :class:`RegionRejected` if the replay rejects a node."""
+    id. Replays the tree's edges over all of ``cp``'s lifted coordinates
+    through the solver of its variant as :func:`explore_unreduced` does:
+    the root from scratch, then each parent's children as one stack; raises
+    :class:`RegionRejected` if the replay rejects a node."""
     children = {nd.node_id: [] for nd in tree.nodes}
     for parent, child, _ in tree.edges():
         children[parent].append(child)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracle import polyhedral_rows
 
-from czempc import cli, lp
+from czempc import cli, condense, lp
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_STOPPED, main, parse_problem
 from czempc.condense import MpcProblem, TerminalRecurrence, build_prediction_matrices, build_terminal_set
 from czempc.explorer import explore, import_json
@@ -557,6 +557,23 @@ def test_stalled_simplex_exits_1(tmp_path, capsys, monkeypatch, command, termina
     except SystemExit as exc:
         code = exc.code
     assert code == EXIT_STOPPED
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the solver stopped without an answer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_stalled_elimination_lp_exits_1(tmp_path, capsys, monkeypatch, command):
+    # a pivot cap hit in the LPs that find the never-binding coordinates, at
+    # the start of explore, ends the run like any other stalled simplex
+    def stalled(*args, **kwargs):
+        raise lp.SimplexStalled("simplex iteration cap exceeded")
+
+    monkeypatch.setattr(condense, "solve_stack", stalled)
+    out = tmp_path / "out.json"
+    argv = {"solve": ["solve", str(PAPER_PROBLEM), str(out), "-N", "2"],
+            "bench": ["bench", str(PAPER_PROBLEM), "--nmin", "2", "--nmax", "2", "--out", str(out)]}[command]
+    assert main(argv) == EXIT_STOPPED
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: the solver stopped without an answer")
     assert not out.exists()

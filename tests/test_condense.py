@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,9 +16,12 @@ from czempc.condense import (
     build_condensed_qp,
     build_prediction_matrices,
     build_terminal_set,
+    eliminate,
     lqr_gain,
+    never_binding,
     resolve_terminal_set,
 )
+from czempc import condense
 from czempc.sets import ConstrainedZonotope, Zonotope
 
 A_DINT = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -196,3 +201,56 @@ def test_problem_validation():
         MpcProblem(p.A_d, p.B_d, np.array([[1.0, 0.5], [0.0, 1.0]]), p.R, p.S, p.N, p.X, p.U, p.T)
     with pytest.raises(ValueError):
         MpcProblem(p.A_d, p.B_d, p.Q, p.R, p.S, 0, p.X, p.U, p.T)
+
+
+def test_never_binding_on_an_infeasible_problem(paper_doc, monkeypatch):
+    # a terminal set far outside X leaves no feasible xi: every dual LP of
+    # the finder is unbounded and no coordinate is eliminated, where the same
+    # problem with its own terminal set loses 8 of 22
+    problem, _ = parse_problem(paper_doc, n_override=3)
+    assert never_binding(build_condensed_qp(problem)).size == 8
+    far = Zonotope(np.full(4, 100.0), np.eye(4))
+    cp = build_condensed_qp(dataclasses.replace(problem, T=far))
+    solve, statuses = condense.solve_stack, []
+
+    def recording(*args, **kwargs):
+        results = solve(*args, **kwargs)
+        statuses.extend(res.status for res in results)
+        return results
+
+    monkeypatch.setattr(condense, "solve_stack", recording)
+    assert never_binding(cp).size == 0
+    assert statuses and set(statuses) == {"unbounded"}
+
+
+def test_eliminate_keeps_the_feasible_set(paper_doc, rng):
+    # a feasible xi of the full problem restricted to R satisfies the reduced
+    # equalities, and F_E^+ gives back its eliminated coordinates
+    problem, _ = parse_problem(paper_doc, n_override=3)
+    cp = build_condensed_qp(problem)
+    E = never_binding(cp)
+    reduced, R, FE_pinv = eliminate(cp, E)
+    assert np.array_equal(np.sort(np.concatenate([E, R])), np.arange(cp.Dbar))
+    assert (reduced.Dbar, reduced.nbar_c) == (14, 8)
+    assert reduced.Dbar - reduced.nbar_c == cp.Dbar - cp.nbar_c
+    assert np.array_equal(reduced.G_D, cp.G_D[:, R]) and not cp.G_D[:, E].any()
+    for _ in range(5):
+        x0 = rng.uniform(-1.0, 1.0, cp.n)
+        xi = np.linalg.lstsq(cp.F_D, cp.theta1_D + cp.theta2_D @ x0, rcond=None)[0]
+        np.testing.assert_allclose(reduced.F_D @ xi[R], reduced.theta1_D + reduced.theta2_D @ x0, atol=1e-10)
+        np.testing.assert_allclose(
+            FE_pinv @ (cp.theta1_D + cp.theta2_D @ x0 - cp.F_D[:, R] @ xi[R]), xi[E], atol=1e-10)
+
+
+def test_never_binding_on_inconsistent_equalities(paper_doc, monkeypatch):
+    # a terminal CZ whose two equality rows contradict each other: no xi
+    # solves the lifted equalities, so no LP is solved and nothing is
+    # eliminated (a least-squares xi0 would make 7 coordinates look idle)
+    problem, _ = parse_problem(paper_doc, n_override=2)
+    T = ConstrainedZonotope(np.zeros(4), 10.0 * np.eye(4), np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
+                            np.array([0.0, 0.5]))
+    cp = build_condensed_qp(dataclasses.replace(problem, T=T))
+    solved = []
+    monkeypatch.setattr(condense, "solve_stack", lambda *args, **kwargs: solved.append(args))
+    assert never_binding(cp).size == 0
+    assert not solved

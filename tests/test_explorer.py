@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import ROOT, explore_unreduced
 from oracle import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 
 from czempc import explorer
-from czempc.condense import MpcProblem, build_condensed_qp
+from czempc.condense import NEVER_BINDS_MARGIN, MpcProblem, build_condensed_qp, never_binding
 from czempc.cli import parse_problem
 from czempc.explorer import (
     InfeasibleProblem,
@@ -211,24 +212,42 @@ def _assert_variants_match_oracle(problem):
     return trees
 
 
-def test_chebyshev_unbounded_dual_is_empty():
-    # `iter` regions here carry rows with norms near 1e-13 and offsets up to
-    # 3e5; the Chebyshev dual LP then reports unbounded, which means empty
-    problem = _parallelotope_problem(
+def _unbounded_dual_problem():
+    return _parallelotope_problem(
         np.array([[0.76, -0.23], [-0.48, 1.28]]), np.array([[0.27], [0.49]]),
         np.array([[4.36, 2.01], [1.75, 2.25]]), np.array([[-1.06]]), 3,
     )
-    trees = _assert_variants_match_oracle(problem)
+
+
+def _drift_problem():
+    return _parallelotope_problem(
+        np.array([[0.939, -0.4732], [0.1119, 0.6569]]), np.array([[-1.7159, -0.2792], [0.2815, 1.2825]]),
+        np.array([[0.8474, 2.4181], [-3.6776, -0.0676]]), np.array([[0.1242, 0.8622], [0.1161, 0.8041]]), 2,
+    )
+
+
+def _sweep_problem(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3))
+    A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    B = rng.standard_normal((2, m))
+    GX = 3.0 * rng.standard_normal((2, 2))
+    GU = rng.standard_normal((m, m))
+    N = int(rng.integers(1, 3))
+    return _parallelotope_problem(A, B, GX, GU, N)
+
+
+def test_chebyshev_unbounded_dual_is_empty():
+    # `iter` regions here carry rows with norms near 1e-13 and offsets up to
+    # 3e5; the Chebyshev dual LP then reports unbounded, which means empty
+    trees = _assert_variants_match_oracle(_unbounded_dual_problem())
     assert trees["iter"].num_regions == 41
 
 
 def test_baseline_law_on_drift_repro():
     # the low-rank-drift repro: `iter`'s law drifts about 1e-6 from the oracle
     # here (an open defect of the updates); the from-scratch solve must not
-    problem = _parallelotope_problem(
-        np.array([[0.939, -0.4732], [0.1119, 0.6569]]), np.array([[-1.7159, -0.2792], [0.2815, 1.2825]]),
-        np.array([[0.8474, 2.4181], [-3.6776, -0.0676]]), np.array([[0.1242, 0.8622], [0.1161, 0.8041]]), 2,
-    )
+    problem = _drift_problem()
     tree = explore(build_condensed_qp(problem), variant="baseline")
     assert tree.num_regions == 23
     for nd in tree.nodes:
@@ -239,14 +258,7 @@ def test_baseline_law_on_drift_repro():
 
 @pytest.mark.parametrize("seed", range(24))
 def test_random_parallelotopes_agree_with_oracle(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 3))
-    A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-    B = rng.standard_normal((2, m))
-    GX = 3.0 * rng.standard_normal((2, 2))
-    GU = rng.standard_normal((m, m))
-    N = int(rng.integers(1, 3))
-    _assert_variants_match_oracle(_parallelotope_problem(A, B, GX, GU, N))
+    _assert_variants_match_oracle(_sweep_problem(seed))
 
 
 @pytest.mark.parametrize(
@@ -334,3 +346,99 @@ def test_import_rejects_foreign_json(dint_tree):
 
 def test_variant_names():
     assert VARIANTS == ("baseline", "iter")
+
+
+# the guard explores: each problem with both variants
+GUARD = (["paper-n1", "paper-n2", "paper-n3", "paper-n4", "cz-n1", "doubleint", "unbounded-dual", "drift"]
+         + [f"sweep-{seed}" for seed in range(24)])
+
+
+def _named_problem(name, paper_doc, dint_doc):
+    if name.startswith("paper-n"):
+        return parse_problem(dict(paper_doc, N=int(name[7:])))[0]
+    if name == "cz-n1":
+        return parse_problem(dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}}))[0]
+    if name == "segment":
+        return parse_problem(json.loads((ROOT / "problems" / "segment_terminal.json").read_text()))[0]
+    if name == "doubleint":
+        return parse_problem(dint_doc)[0]
+    if name.startswith("sweep-"):
+        return _sweep_problem(int(name[6:]))
+    return {"unbounded-dual": _unbounded_dual_problem, "drift": _drift_problem}[name]()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", GUARD + ["segment"])
+def test_reduced_bfs_matches_unreduced(name, variant, paper_doc, dint_doc):
+    # the BFS over the coordinates whose box bounds can bind, mapped back,
+    # against the BFS over all 2 Dbar facets: the same nodes in the same
+    # places, laws and regions within 1e-9, fewer candidates examined
+    cp = build_condensed_qp(_named_problem(name, paper_doc, dint_doc))
+    tree, reference = explore(cp, variant=variant), explore_unreduced(cp, variant=variant)
+    assert [(nd.node_id, nd.parent, nd.active, nd.edge_label) for nd in tree.nodes] == [
+        (nd.node_id, nd.parent, nd.active, nd.edge_label) for nd in reference.nodes]
+    assert tree.index == reference.index and tree.Dbar == cp.Dbar
+    for nd, ref in zip(tree.nodes, reference.nodes):
+        assert nd.region.L.shape == (2 * cp.Dbar, cp.n) and nd.region.l.shape == (2 * cp.Dbar,)
+        for got, want in [(nd.law.Ku, ref.law.Ku), (nd.law.ku, ref.law.ku), (nd.region.L, ref.region.L),
+                          (nd.region.l, ref.region.l)]:
+            assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+    st, ref_st = tree.stats, reference.stats
+    assert st.discovered + st.numerical + st.empty + st.dedup == st.examined
+    assert (st.discovered, st.dedup) == (ref_st.discovered, ref_st.dedup)
+    # every candidate on an eliminated facet is one the unreduced BFS
+    # rejected as singular or empty
+    eliminated = ref_st.examined - st.examined
+    assert ref_st.numerical + ref_st.empty - st.numerical - st.empty == eliminated
+    if not never_binding(cp).size:
+        assert st == ref_st
+
+
+def test_eliminated_coordinates(paper_doc, dint_doc):
+    counts = {}
+    for name in ["paper-n3", "paper-n4", "cz-n1", "doubleint", "segment"]:
+        cp = build_condensed_qp(_named_problem(name, paper_doc, dint_doc))
+        counts[name] = (never_binding(cp).size, cp.Dbar)
+    assert counts == {"paper-n3": (8, 22), "paper-n4": (12, 28), "cz-n1": (26, 36), "doubleint": (0, 8),
+                      "segment": (8, 13)}
+
+
+def _highs_reach(cp, i):
+    """Largest |xi_i| over every feasible (xi, x0), by HiGHS with x0 free."""
+    from scipy.optimize import linprog
+
+    A_eq = np.hstack([cp.F_D, -cp.theta2_D])
+    bounds = [(-1.0, 1.0)] * cp.Dbar + [(None, None)] * cp.n
+    reach = []
+    for sign in (1.0, -1.0):
+        c = np.zeros(cp.Dbar + cp.n)
+        c[i] = -sign
+        res = linprog(c, A_eq=A_eq, b_eq=cp.theta1_D, bounds=bounds, method="highs")
+        assert res.status == 0
+        reach.append(-res.fun)
+    return max(reach)
+
+
+@pytest.mark.parametrize("name", ["paper-n3", "cz-n1"])
+def test_never_binding_agrees_with_highs(name, paper_doc, dint_doc):
+    cp = build_condensed_qp(_named_problem(name, paper_doc, dint_doc))
+    eliminated = set(never_binding(cp).tolist())
+    assert eliminated
+    for i in range(cp.Dbar):
+        if i in eliminated:
+            assert _highs_reach(cp, i) < 1.0 - NEVER_BINDS_MARGIN
+        elif not cp.G_D[:, i].any():
+            assert _highs_reach(cp, i) >= 1.0 - 1e-7
+
+
+def test_coordinates_the_cost_reads_are_kept(dint_doc):
+    # with U a hundred times wider the input generators reach only 0.1, but
+    # G_D reads them: they stay, and the tree is the unreduced one
+    cp = build_condensed_qp(parse_problem(dict(dint_doc, U={"c": [0], "G": [[100]]}))[0])
+    inputs = np.flatnonzero(cp.G_D.any(axis=0))
+    assert inputs.size == 2
+    for i in inputs:
+        assert _highs_reach(cp, i) < 0.2
+    assert not set(inputs.tolist()) & set(never_binding(cp).tolist())
+    for variant in VARIANTS:
+        assert export_json(explore(cp, variant=variant)) == export_json(explore_unreduced(cp, variant=variant))

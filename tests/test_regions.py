@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import node_results
+from conftest import explore_unreduced, node_results
 from oracle import kkt_residuals, polyhedral_rows
 
 from czempc import explorer, regions
@@ -115,11 +115,12 @@ def test_children_stack_matches_scratch(case, paper_doc):
 @pytest.mark.parametrize("case", ["paper4state-N3", "cz-n1"])
 def test_node_results_replay_the_explored_tree(case, variant, paper_doc):
     # the tests that read KKT factors and duals take them from node_results;
-    # its laws and regions must be those explore accepted: bitwise when each
-    # node is solved from scratch, within 1e-12 through the updates
+    # its laws and regions must be those the unreduced BFS accepted: bitwise
+    # when each node is solved from scratch, within 1e-12 through the updates
+    # (test_explorer checks explore's reduced BFS against the unreduced one)
     doc = dict(paper_doc, N=3) if case == "paper4state-N3" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
     cp = build_condensed_qp(parse_problem(doc)[0])
-    tree = explore(cp, variant=variant)
+    tree = explore_unreduced(cp, variant=variant)
     results = [solve.result() for solve in node_results(cp, tree)]
     assert [res.active for res in results] == [nd.active for nd in tree.nodes]
     for nd, res in zip(tree.nodes, results):
