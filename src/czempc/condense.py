@@ -342,22 +342,21 @@ def never_binding(cp: CondensedProblem) -> np.ndarray:
 
 def eliminate(cp: CondensedProblem, E: np.ndarray) -> tuple:
     """The problem over the other lifted coordinates ``R``, for the set ``E``
-    of :func:`never_binding`; returns it, ``R`` and ``F_E^+``.
+    of :func:`never_binding`; returns it and ``R``.
 
     With ``W`` an orthonormal basis of ``null(F_E')``, ``F_D xi = theta``
-    splits into ``W' F_R xi_R = W' theta`` and
-    ``xi_E = F_E^+ (theta - F_R xi_R)``, exactly: ``F_E`` has full column
-    rank, since a null direction would let some E coordinate reach ±1. The
-    box bounds of ``xi_E`` never bind and ``G_D`` does not read ``xi_E``, so
-    the problem with ``F' = W' F_R``, ``theta' = W' theta`` and
-    ``G_D' = G_D[:, R]`` has the same laws, multipliers and critical regions
-    for every active set over ``R``.
+    splits into ``W' F_R xi_R = W' theta`` and one ``xi_E`` for each
+    ``xi_R``: ``F_E`` has full column rank, since a null direction would let
+    some E coordinate reach ±1. The box bounds of ``xi_E`` never bind and
+    ``G_D`` does not read ``xi_E``, so the problem with ``F' = W' F_R``,
+    ``theta' = W' theta`` and ``G_D' = G_D[:, R]`` has the same laws,
+    multipliers and critical regions for every active set over ``R``. An
+    empty ``E`` gives ``W = I`` and ``cp``'s own data.
     """
     R = np.setdiff1d(np.arange(cp.Dbar), E)
-    U, s, Vt = np.linalg.svd(cp.F_D[:, E], full_matrices=True)
-    W = U[:, E.size :]
+    W = np.linalg.svd(cp.F_D[:, E], full_matrices=True)[0][:, E.size :]
     reduced = replace(
         cp, G_D=cp.G_D[:, R], F_D=W.T @ cp.F_D[:, R], theta1_D=W.T @ cp.theta1_D, theta2_D=W.T @ cp.theta2_D,
         Dbar=R.size, nbar_c=W.shape[1], Y=np.vstack([np.eye(R.size), -np.eye(R.size)]),
     )
-    return reduced, R, (Vt.T / s) @ U[:, : E.size].T
+    return reduced, R

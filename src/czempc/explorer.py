@@ -142,21 +142,23 @@ def explore(
     emptiness as one stack, and both variants accept the same candidates.
 
     The BFS runs over the lifted coordinates whose box bounds can bind: the
-    coordinates of :func:`~czempc.condense.never_binding` are eliminated
-    first, so no candidate activates one of their facets (none would be
-    accepted), and the tree is mapped back to ``cp``'s indices, every region
-    with its ``2 Dbar`` rows.
+    coordinates ``E`` of :func:`~czempc.condense.never_binding` are
+    eliminated first, so no candidate activates one of their facets (none
+    would be accepted). Active sets and edge labels are mapped back to
+    ``cp``'s indices; each region keeps the ``2 d`` rows the reduced BFS
+    computed, ``d`` being the number of coordinates explored. The rows of
+    the ``E`` facets are redundant and left out: ``never_binding`` keeps
+    every ``|xi_E|`` below ``1 - NEVER_BINDS_MARGIN`` at every feasible
+    point, so by convexity ``|xi_E| < 1`` wherever ``|xi_R| <= 1`` (see the
+    README's *Tree files*).
     Raises ``ValueError`` on an unknown variant, a NaN, infinite or negative
     ``radius_threshold``, or a NaN or negative ``eps``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     check_thresholds(radius_threshold, eps)
-    E = never_binding(cp)
-    if not E.size:
-        return _explore(cp, variant, radius_threshold, eps, node_cap)
-    reduced, kept, FE_pinv = eliminate(cp, E)
-    return _lift(_explore(reduced, variant, radius_threshold, eps, node_cap), cp, E, kept, FE_pinv)
+    reduced, kept = eliminate(cp, never_binding(cp))
+    return _lift(_explore(reduced, variant, radius_threshold, eps, node_cap), cp.Dbar, kept)
 
 
 def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: float, node_cap: int) -> SolutionTree:
@@ -201,57 +203,18 @@ def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: f
     return tree
 
 
-def _lift(
-    tree: SolutionTree, cp: CondensedProblem, E: np.ndarray, kept: np.ndarray, FE_pinv: np.ndarray
-) -> SolutionTree:
-    """``tree``, explored over the lifted coordinates ``kept`` of ``cp`` (see
-    :func:`~czempc.condense.eliminate`), in ``cp``'s indices.
-
-    Reduced facet ``f`` is facet ``lift[f]``, for active sets and edge
-    labels alike. Laws and multiplier rows stay as they are. Every region
-    gets back the rows of the eliminated coordinates ``E``, in place among
-    its inactive facets, from ``xi_E(x0) = F_E^+ (theta(x0) - F_R xi_R(x0))``;
-    ``xi_R(x0)`` is read off the region's own facet rows.
-    """
-    d, D, n, B = tree.Dbar, cp.Dbar, cp.n, tree.num_regions
+def _lift(tree: SolutionTree, D: int, kept: np.ndarray) -> SolutionTree:
+    """``tree``, explored over the lifted coordinates ``kept`` of a problem
+    with ``D`` of them (see :func:`~czempc.condense.eliminate`), in that
+    problem's indices: reduced facet ``f`` is facet ``lift[f]``, for active
+    sets and edge labels alike. Laws and regions stay as they are."""
     lift = np.concatenate([kept, kept + D])
-    b, r = np.arange(B)[:, None], np.arange(2 * D)
-    # rows [l, L] of each region: its 2d - k inactive facets in increasing
-    # order, then its k multipliers (k is the cardinality)
-    rows = np.concatenate(
-        [np.stack([nd.region.l for nd in tree.nodes])[:, :, None], np.stack([nd.region.L for nd in tree.nodes])], axis=2
-    )
-    k = np.array([nd.active.cardinality for nd in tree.nodes])
-    active = np.zeros((B, 2 * d), dtype=bool)
-    for i, nd in enumerate(tree.nodes):
-        active[i, list(nd.active.indices)] = True
-    # [l, L] of every reduced facet f, [0, 0] where f is active: 1 - l and L
-    # are then the constant and slope of Y_f xi_R(x0) for every f
-    facets = np.empty_like(rows)
-    inactive = (r[: 2 * d] < 2 * d - k[:, None])[:, :, None]
-    facets[b, np.argsort(active, axis=1, kind="stable")] = np.where(inactive, rows, 0.0)
-    xi_R = facets[:, :d].copy()
-    xi_R[:, :, 0] = 1.0 - xi_R[:, :, 0]
-    xi_E = FE_pinv @ (np.column_stack([cp.theta1_D, cp.theta2_D]) - cp.F_D[:, kept] @ xi_R)
-    full = np.empty((B, 2 * D, n + 1))
-    full[:, lift] = facets
-    full[:, E, 0], full[:, E + D, 0] = 1.0 - xi_E[:, :, 0], 1.0 + xi_E[:, :, 0]
-    full[:, E, 1:], full[:, E + D, 1:] = xi_E[:, :, 1:], -xi_E[:, :, 1:]
-    full_active = np.zeros((B, 2 * D), dtype=bool)
-    full_active[:, lift] = active
-    # full row r: inactive facet r while r < 2D - k, else multiplier row
-    # r - 2(D - d), found at r + 2d once the rows follow the facets
-    order = np.argsort(full_active, axis=1, kind="stable")
-    full = np.concatenate([full, rows], axis=1)[b, np.where(r < 2 * D - k[:, None], order, r + 2 * d)]
-
     out = SolutionTree(D, tree.n, tree.m, tree.N, tree.variant, tree.radius_threshold, stats=tree.stats)
-    for nd, region in zip(tree.nodes, full):
-        active_set = ActiveSet(D, tuple(lift[list(nd.active.indices)]))
+    for nd in tree.nodes:
+        active = ActiveSet(D, tuple(lift[list(nd.active.indices)]))
         edge = None if nd.edge_label is None else int(lift[nd.edge_label])
-        out.index[active_set.bits] = nd.node_id
-        out.nodes.append(RegionNode(
-            active_set, nd.law, CriticalRegion(region[:, 1:], region[:, 0]), nd.node_id, nd.parent, edge
-        ))
+        out.index[active.bits] = nd.node_id
+        out.nodes.append(RegionNode(active, nd.law, nd.region, nd.node_id, nd.parent, edge))
     return out
 
 
@@ -276,7 +239,7 @@ def export_json(tree: SolutionTree) -> str:
     """Full numeric payload; floats round-trip exactly via repr."""
     payload = {
         "format": "czempc-tree",
-        "version": 2,
+        "version": 3,
         "Dbar": tree.Dbar,
         "n": tree.n,
         "m": tree.m,
@@ -305,7 +268,8 @@ def import_json(text: str) -> SolutionTree:
     """Rebuild a tree from :func:`export_json` output (the ``ared`` lists of
     version-1 files are ignored). A malformed file raises ``ValueError``, as
     does a node whose ``id`` is not its position or whose ``L``, ``l``,
-    ``Ku`` or ``ku`` has the wrong shape or a NaN or inf."""
+    ``Ku`` or ``ku`` has the wrong shape or a NaN or inf. Every node must
+    have the row count of node 0."""
     data = json.loads(text)
     if not isinstance(data, dict) or data.get("format") != "czempc-tree":
         raise ValueError("not a czempc tree file")
@@ -323,7 +287,9 @@ def import_json(text: str) -> SolutionTree:
         # test pruned before the emptiness LP; every one of them was empty
         stats["empty"] += stats.pop("quick", 0)
         tree.stats = ExplorationStats(**stats)
-        rows, nu = 2 * tree.Dbar, tree.N * tree.m
+        # every node has the row count of the first: 2 Dbar in version 1
+        # and 2 files, the 2 d rows of the explored coordinates in version 3
+        rows, nu = len(data["nodes"][0]["l"]) if data["nodes"] else 0, tree.N * tree.m
         shapes = {"Ku": (nu, tree.n), "ku": (nu,), "L": (rows, tree.n), "l": (rows,)}
         for position, nd in enumerate(data["nodes"]):
             if nd["id"] != position:

@@ -168,8 +168,10 @@ def solve_stack(A, b, C, tol: float = 1e-9, cutoff=-np.inf) -> list:
     if live.size == 0:
         return results
 
-    # phase 2 objectives: reduced costs of C over the current bases
-    T, basis, C = T[live], basis[live], C[live]
+    # phase 2 objectives: reduced costs of C over the current bases; the
+    # stack is copied down to the feasible LPs only when some are not
+    if live.size < feasible.size:
+        T, basis, C = T[live], basis[live], C[live]
     real = basis >= 0
     T[:, -1, :-1] = C
     T[:, -1, -1] = 0.0

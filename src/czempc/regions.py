@@ -100,7 +100,9 @@ class AffineLaw:
 
 @dataclass(frozen=True)
 class CriticalRegion:
-    """Polyhedron ``{x0 : L x0 <= l}`` with exactly ``2 Dbar`` rows."""
+    """Polyhedron ``{x0 : L x0 <= l}``: the ``2 Dbar - k`` inactive facets
+    in increasing order, then the ``k`` multipliers of the active set, over
+    the ``Dbar`` coordinates the region was solved in."""
 
     L: np.ndarray
     l: np.ndarray

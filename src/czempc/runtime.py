@@ -31,7 +31,8 @@ class Trajectory:
 def _blocks(tree) -> list:
     """``(first node id, stacked L, stacked l)`` per block, cached on the tree.
 
-    Each block stacks the ``2 Dbar`` rows of consecutive regions; ``L`` is
+    Each block stacks the rows of consecutive regions, which all have the
+    same row count (see :func:`~czempc.explorer.import_json`); ``L`` is
     column-major, which makes its tall, thin matvec several times faster.
     Rebuilt when the tree's node count has changed since the last build.
     """
@@ -54,9 +55,8 @@ def _blocks(tree) -> list:
 def locate(tree, x0, tol: float = LOCATE_TOL):
     """First node (BFS order) whose region contains ``x0``; None when outside."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    rows = 2 * tree.Dbar
     for first, L, l in _blocks(tree):
-        inside = (L @ x0 <= l + tol).reshape(-1, rows).all(axis=1)
+        inside = (L @ x0 <= l + tol).reshape(-1, tree.nodes[first].region.l.size).all(axis=1)
         k = int(inside.argmax())
         if inside[k]:
             return first + k

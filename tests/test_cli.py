@@ -4,12 +4,19 @@ import pathlib
 
 import numpy as np
 import pytest
+from conftest import explore_unreduced
 from oracle import polyhedral_rows
 
 from czempc import cli, condense, lp
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_STOPPED, main, parse_problem
-from czempc.condense import MpcProblem, TerminalRecurrence, build_prediction_matrices, build_terminal_set
-from czempc.explorer import explore, import_json
+from czempc.condense import (
+    MpcProblem,
+    TerminalRecurrence,
+    build_condensed_qp,
+    build_prediction_matrices,
+    build_terminal_set,
+)
+from czempc.explorer import explore, export_json, import_json
 from czempc.regions import AffineLaw, reduced_active_set
 from czempc.runtime import evaluate
 from czempc.sets import DimensionMismatch, Polytope, chebyshev
@@ -322,7 +329,7 @@ def test_eval_reads_version_1_tree_with_ared(tmp_path, capsys, dint_problem):
 
     current = _write_tree(tmp_path, lambda d: None)
     data = json.loads(current.read_text())
-    assert data["version"] == 2 and not any("ared" in nd for nd in data["nodes"])
+    assert data["version"] == 3 and not any("ared" in nd for nd in data["nodes"])
     want = _eval_lines(current, capsys)
     tree = _write_tree(tmp_path, older)
     assert any(nd["ared"] for nd in json.loads(tree.read_text())["nodes"])
@@ -340,6 +347,35 @@ def test_eval_reads_version_2_tree_without_ared(tmp_path, capsys):
     assert import_json(tree.read_text()).num_regions == 9
     lines = _eval_lines(tree, capsys)
     assert lines[0] == "node,u0" and lines[1] != "infeasible" and lines[3] == "infeasible"
+
+
+def test_eval_reads_version_2_tree_with_all_rows(tmp_path, capsys, paper_doc):
+    # version-2 files hold 2 Dbar rows per region, the rows of the
+    # eliminated coordinates among them; they give the nodes and inputs of
+    # the version-3 tree, which keeps only the rows it explored
+    cp = build_condensed_qp(parse_problem(dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}}))[0])
+    current, older = tmp_path / "current.json", tmp_path / "older.json"
+    current.write_text(export_json(explore(cp)))
+    data = json.loads(export_json(explore_unreduced(cp)))
+    older.write_text(json.dumps(dict(data, version=2)))
+    assert json.loads(current.read_text())["version"] == 3
+    assert {len(nd["l"]) for nd in data["nodes"]} == {2 * cp.Dbar}
+    tree = import_json(current.read_text())
+    assert {nd.region.l.size for nd in tree.nodes} == {20}
+    states = [chebyshev(Polytope(nd.region.L, nd.region.l)).center for nd in tree.nodes]
+    states += list(np.random.default_rng(0).uniform(-10.0, 10.0, (50, cp.n)))
+    argv = [",".join(repr(float(v)) for v in x0) for x0 in states]
+    lines = {}
+    for path in (current, older):
+        capsys.readouterr()
+        assert main(["eval", str(path), "--", *argv]) == EXIT_OK
+        lines[path] = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(lines[older]) == len(lines[current]) == len(states)
+    assert sum(line[0] == "infeasible" for line in lines[current]) > 0
+    for got, want in zip(lines[older], lines[current]):
+        assert got[0] == want[0]
+        np.testing.assert_allclose(np.array(got[1:], dtype=float), np.array(want[1:], dtype=float), rtol=1e-9,
+                                   atol=1e-9)
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -229,7 +229,8 @@ def test_eliminate_keeps_the_feasible_set(paper_doc, rng):
     problem, _ = parse_problem(paper_doc, n_override=3)
     cp = build_condensed_qp(problem)
     E = never_binding(cp)
-    reduced, R, FE_pinv = eliminate(cp, E)
+    reduced, R = eliminate(cp, E)
+    FE_pinv = np.linalg.pinv(cp.F_D[:, E])
     assert np.array_equal(np.sort(np.concatenate([E, R])), np.arange(cp.Dbar))
     assert (reduced.Dbar, reduced.nbar_c) == (14, 8)
     assert reduced.Dbar - reduced.nbar_c == cp.Dbar - cp.nbar_c

@@ -23,6 +23,7 @@ from czempc.explorer import (
     import_json,
 )
 from czempc.regions import ActiveSet, RegionResult, RegionStack
+from czempc.runtime import locate
 from czempc.sets import ConstrainedZonotope, Polytope, Zonotope, chebyshev, is_empty_stack
 
 
@@ -318,7 +319,7 @@ def test_import_rejects_foreign_json(dint_tree):
     with pytest.raises(ValueError):
         import_json("[1]")
     good = json.loads(export_json(dint_tree))
-    # point location stacks 2 Dbar rows of L and l per region, and evaluate
+    # point location stacks as many rows of L and l per region, and evaluate
     # indexes the node list by the position it returns
     edits = {
         "L": lambda nd: nd["L"].pop(),
@@ -342,6 +343,18 @@ def test_import_rejects_foreign_json(dint_tree):
         with pytest.raises(ValueError, match="NaN or infinite"):
             import_json(json.dumps(data))
     assert import_json(json.dumps(good)).num_regions == dint_tree.num_regions
+
+
+def test_import_rejects_unequal_row_counts(dint_tree):
+    # point location reshapes each block by one row count, so every node
+    # must have the rows of node 0, whichever of them differs
+    good = json.loads(export_json(dint_tree))
+    for position in (0, 3):
+        data = copy.deepcopy(good)
+        data["nodes"][position]["L"].pop()
+        data["nodes"][position]["l"].pop()
+        with pytest.raises(ValueError, match="L"):
+            import_json(json.dumps(data))
 
 
 def test_variant_names():
@@ -372,17 +385,33 @@ def _named_problem(name, paper_doc, dint_doc):
 def test_reduced_bfs_matches_unreduced(name, variant, paper_doc, dint_doc):
     # the BFS over the coordinates whose box bounds can bind, mapped back,
     # against the BFS over all 2 Dbar facets: the same nodes in the same
-    # places, laws and regions within 1e-9, fewer candidates examined
-    cp = build_condensed_qp(_named_problem(name, paper_doc, dint_doc))
+    # places, laws within 1e-9, each region the reference's rows within 1e-9
+    # less the rows of the eliminated facets, which are redundant, the same
+    # point location, and fewer candidates examined
+    problem = _named_problem(name, paper_doc, dint_doc)
+    cp = build_condensed_qp(problem)
     tree, reference = explore(cp, variant=variant), explore_unreduced(cp, variant=variant)
     assert [(nd.node_id, nd.parent, nd.active, nd.edge_label) for nd in tree.nodes] == [
         (nd.node_id, nd.parent, nd.active, nd.edge_label) for nd in reference.nodes]
     assert tree.index == reference.index and tree.Dbar == cp.Dbar
+    E = never_binding(cp)
     for nd, ref in zip(tree.nodes, reference.nodes):
-        assert nd.region.L.shape == (2 * cp.Dbar, cp.n) and nd.region.l.shape == (2 * cp.Dbar,)
-        for got, want in [(nd.law.Ku, ref.law.Ku), (nd.law.ku, ref.law.ku), (nd.region.L, ref.region.L),
-                          (nd.region.l, ref.region.l)]:
+        # the reference's rows: its inactive facets in increasing order, then
+        # its multipliers; the region keeps those of the facets not on E
+        facets = np.setdiff1d(np.arange(2 * cp.Dbar), nd.active.indices)
+        kept = np.r_[np.flatnonzero(~np.isin(facets % cp.Dbar, E)), facets.size : 2 * cp.Dbar]
+        for got, want in [(nd.law.Ku, ref.law.Ku), (nd.law.ku, ref.law.ku), (nd.region.L, ref.region.L[kept]),
+                          (nd.region.l, ref.region.l[kept])]:
+            assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        if name in ("paper-n3", "cz-n1", "segment"):
+            dropped = np.setdiff1d(np.arange(2 * cp.Dbar), kept)
+            assert (_highs_maxima(ref.region.L[dropped], nd.region.L, nd.region.l) < ref.region.l[dropped]).all()
+    rng = np.random.default_rng(0)
+    points = problem.X.c + 2.0 * rng.uniform(-1.0, 1.0, (200, problem.X.G.shape[1])) @ problem.X.G.T
+    centres = [chebyshev(Polytope(nd.region.L, nd.region.l)).center for nd in tree.nodes]
+    for x0 in list(points) + centres:
+        assert locate(tree, x0) == locate(reference, x0)
     st, ref_st = tree.stats, reference.stats
     assert st.discovered + st.numerical + st.empty + st.dedup == st.examined
     assert (st.discovered, st.dedup) == (ref_st.discovered, ref_st.dedup)
@@ -390,7 +419,7 @@ def test_reduced_bfs_matches_unreduced(name, variant, paper_doc, dint_doc):
     # rejected as singular or empty
     eliminated = ref_st.examined - st.examined
     assert ref_st.numerical + ref_st.empty - st.numerical - st.empty == eliminated
-    if not never_binding(cp).size:
+    if not E.size:
         assert st == ref_st
 
 
@@ -401,6 +430,19 @@ def test_eliminated_coordinates(paper_doc, dint_doc):
         counts[name] = (never_binding(cp).size, cp.Dbar)
     assert counts == {"paper-n3": (8, 22), "paper-n4": (12, 28), "cz-n1": (26, 36), "doubleint": (0, 8),
                       "segment": (8, 13)}
+
+
+def _highs_maxima(C, L, l):
+    """``max C[j] @ x`` over ``{L x <= l}`` for every row ``j``, by HiGHS:
+    one separable LP with a copy of ``x`` per row, each copy at its own
+    maximum."""
+    from scipy.optimize import linprog
+    from scipy.sparse import identity, kron
+
+    res = linprog(-C.ravel(), A_ub=kron(identity(len(C)), L, format="csr"), b_ub=np.tile(l, len(C)),
+                  bounds=(None, None), method="highs")
+    assert res.status == 0
+    return np.einsum("ij,ij->i", C, res.x.reshape(C.shape))
 
 
 def _highs_reach(cp, i):
