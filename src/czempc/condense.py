@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from czempc.lp import solve_stack
 from czempc.sets import (
     ConstrainedZonotope,
     DimensionMismatch,
@@ -175,27 +174,37 @@ def build_prediction_matrices(A_d, B_d, N: int) -> PredictionMatrices:
 
 
 def lqr_gain(A_d, B_d, Q, R, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
-    """Infinite-horizon LQR gain ``K`` (u = K x) from the Riccati fixed point.
+    """Infinite-horizon LQR gain ``K`` (u = K x) from the structure-preserving
+    doubling algorithm for the discrete Riccati equation.
 
-    Raises :class:`NotConverged` when the iteration has not settled within
-    ``tol`` after ``max_iter`` steps.
+    From ``A_0 = A_d``, ``G_0 = B_d R^{-1} B_d'`` and ``H_0 = Q``, each step
+    sets ``W = I + G H`` and
+
+        A <- A W^{-1} A,   G <- G + A W^{-1} G A',   H <- H + A' H W^{-1} A,
+
+    so that ``H`` after k steps is the Riccati iterate of ``2^k`` steps. It
+    stops once ``H`` moves by less than ``tol`` and raises
+    :class:`NotConverged` when that has not happened after ``max_iter``
+    steps. Background: Anderson, Int. J. Control 1978.
     """
     A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q.copy()
+    A, G, H = A_d, B_d @ np.linalg.solve(R, B_d.T), Q
+    I = np.eye(A_d.shape[0])
     for _ in range(max_iter):
-        BtP = B_d.T @ P
-        K = -np.linalg.solve(R + BtP @ B_d, BtP @ A_d)
-        P_next = Q + A_d.T @ P @ (A_d + B_d @ K)
-        if np.max(np.abs(P_next - P)) < tol:
-            P = P_next
+        W = I + G @ H
+        WA, WG = np.linalg.solve(W, A), np.linalg.solve(W, G)
+        H_next = H + A.T @ H @ WA
+        A, G = A @ WA, G + A @ WG @ A.T
+        if np.max(np.abs(H_next - H)) < tol:
+            H = H_next
             break
-        P = P_next
+        H = H_next
     else:
-        raise NotConverged(f"Riccati iteration did not converge in {max_iter} steps")
-    BtP = B_d.T @ P
+        raise NotConverged(f"Riccati doubling did not converge in {max_iter} steps")
+    BtP = B_d.T @ H
     return -np.linalg.solve(R + BtP @ B_d, BtP @ A_d)
 
 
@@ -310,33 +319,21 @@ def never_binding(cp: CondensedProblem) -> np.ndarray:
     no feasible point, for no x0, and that the cost does not read.
 
     ``theta2_D`` has rank n (its first block is -I), so the rows ``P`` of
-    its left null space project x0 out: every feasible xi lies in
-    ``{A xi = b, |xi| <= 1}`` with ``A = P F_D`` and ``b = P theta1_D``,
-    that is ``xi = xi0 + V z`` with ``A xi0 = b``, ``V`` a basis of
-    ``null(A)`` and ``|xi0 + V z| <= 1``. Coordinate i is in ``E`` when
-    column i of ``G_D`` is zero and both maxima of ``±xi_i`` stay below
-    ``1 - NEVER_BINDS_MARGIN``. Each maximum ``±xi0_i + max ±V_i z`` is
-    solved through its dual, ``min [1 - xi0; 1 + xi0]'y`` s.t.
-    ``[V' -V'] y = ±V_i'``, ``y >= 0``, which has one row per column of
-    ``V``; all of them form one stack. An unbounded dual means that no xi is
-    feasible; then, as when ``A xi = b`` has no solution, ``E`` is empty. A
-    coordinate that reaches 1 on one side only stays out of ``E``.
+    its left null space project x0 out: every feasible xi lies in the
+    constrained zonotope ``{xi : P F_D xi = P theta1_D, |xi| <= 1}``.
+    Coordinate i is in ``E`` when column i of ``G_D`` is zero and both
+    supports of that set along ``±e_i``, one :func:`~czempc.sets.support`
+    stack, stay below ``1 - NEVER_BINDS_MARGIN``. An empty set (the supports
+    are ``-inf``) eliminates nothing. A coordinate that reaches 1 on one
+    side only stays out of ``E``.
     """
     P = np.linalg.svd(cp.theta2_D, full_matrices=True)[0][:, cp.n :].T
-    A, b = P @ cp.F_D, P @ cp.theta1_D
     free = np.flatnonzero(~cp.G_D.any(axis=0))
-    xi0 = np.linalg.lstsq(A, b, rcond=None)[0]
-    if np.abs(A @ xi0 - b).max(initial=0.0) > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
+    I = np.eye(cp.Dbar)
+    lifted = ConstrainedZonotope(np.zeros(cp.Dbar), I, P @ cp.F_D, P @ cp.theta1_D)
+    reach = support(lifted, np.vstack([I[free], -I[free]]))  # rows: maximise xi_i, then -xi_i
+    if np.isneginf(reach).any():
         return np.arange(0)
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    V = Vt[np.sum(s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps) :].T  # numpy's rank test
-    c = np.concatenate([V[free], -V[free]])  # rows: maximise xi_i, then -xi_i
-    costs = np.concatenate([1.0 - xi0, 1.0 + xi0])
-    duals = solve_stack(
-        np.broadcast_to(np.hstack([V.T, -V.T]), (len(c), V.shape[1], 2 * cp.Dbar)), c,
-        np.broadcast_to(costs, (len(c), costs.size)),
-    )
-    reach = np.concatenate([xi0[free], -xi0[free]]) + [res.fun if res.status == "optimal" else np.inf for res in duals]
     return free[np.maximum(reach[: free.size], reach[free.size :]) < 1.0 - NEVER_BINDS_MARGIN]
 
 

@@ -12,10 +12,11 @@ Problem sizes here are small (tens of rows), so dense tableaux are adequate.
 
 ``solve_stack`` takes stacked ``A x = b, x >= 0`` problems, or one shared
 ``A x = b`` with many objectives (phase 1 then runs once); a single LP is
-``solve_stack(A, b, c)[0]``. ``solve_lp`` and ``solve_lp_stack`` are thin
-front ends for the finite-box equality form
-``A_eq x = b_eq, lb <= x <= ub`` that every constrained-zonotope LP takes
-(``||xi||_inf <= 1``).
+``solve_stack(A, b, c)[0]``. The package's own LPs call it directly, in
+the dual forms of ``sets.support`` and of the Chebyshev test. ``solve_lp``
+and ``solve_lp_stack`` are thin front ends for the finite-box equality form
+``A_eq x = b_eq, lb <= x <= ub``; the package does not call them, and the
+tests use them for point membership and emptiness of constrained zonotopes.
 """
 
 from __future__ import annotations

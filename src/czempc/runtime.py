@@ -95,4 +95,4 @@ def simulate(tree, A_d, B_d, Q, R, x0, steps: int) -> Trajectory:
         x = A_d @ x + B_d @ u
         inputs.append(u)
         states.append(x)
-    return Trajectory(np.array(states), np.array(inputs), np.array(costs))
+    return Trajectory(np.array(states), np.array(inputs).reshape(steps, B_d.shape[1]), np.array(costs))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from czempc.lp import solve_lp, solve_lp_stack, solve_stack  # noqa: F401 (perfbench/spans.py traces solve_lp by this name)
+from czempc.lp import solve_lp, solve_stack  # noqa: F401 (perfbench/spans.py traces solve_lp by this name)
 
 DEFAULT_RADIUS_THRESHOLD = 1e-6
 
@@ -167,15 +167,36 @@ def intersect(Z1, Z2) -> ConstrainedZonotope:
 
 
 def support(Z, d):
-    """Support function ``max {d@x : x in Z}`` via LP; ``-inf`` when empty.
+    """Support function ``max {d@x : x in Z}``; ``-inf`` when ``Z`` is empty.
 
     ``d`` is one direction (a float comes back) or a (k, n) array of them
-    (an array of k values comes back); the directions share one phase 1.
+    (an array of k values comes back). The feasible ``xi`` are
+    ``xi0 + V z`` with ``|xi0 + V z| <= 1``, for ``xi0`` a least-squares
+    solution of ``F xi = theta`` and ``V`` a basis of ``null(F)``. Each
+    maximum of ``g'xi``, ``g = G'd``, is ``g'xi0`` plus the optimum of the
+    dual ``min [1 - xi0; 1 + xi0]'y s.t. [V' -V'] y = V'g, y >= 0``, which
+    has one row per column of ``V``; all directions form one stack. The box
+    bounds the primal, so a dual that is not optimal means an empty set, as
+    do inconsistent equalities. Without null directions the set is the
+    point ``xi0`` if it lies in the box, and empty otherwise.
     """
     Z = _as_cz(Z)
     D = np.asarray(d, dtype=float)
-    results = solve_lp_stack(-(np.atleast_2d(D) @ Z.G), A_eq=Z.F, b_eq=Z.theta, lb=-1.0, ub=1.0)
-    values = np.array([-np.inf if res.status != "optimal" else -res.fun for res in results])
+    g = np.atleast_2d(D) @ Z.G
+    values = np.full(len(g), -np.inf)
+    xi0 = np.linalg.lstsq(Z.F, Z.theta, rcond=None)[0]
+    if np.abs(Z.F @ xi0 - Z.theta).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(Z.theta).max(initial=0.0)):
+        _, s, Vt = np.linalg.svd(Z.F, full_matrices=True)
+        V = Vt[np.sum(s > s.max(initial=0.0) * max(Z.F.shape) * np.finfo(float).eps) :].T  # numpy's rank test
+        if V.shape[1]:
+            costs = np.concatenate([1.0 - xi0, 1.0 + xi0])
+            duals = solve_stack(
+                np.broadcast_to(np.hstack([V.T, -V.T]), (len(g), V.shape[1], costs.size)), g @ V,
+                np.broadcast_to(costs, (len(g), costs.size)),
+            )
+            values = g @ xi0 + [res.fun if res.status == "optimal" else -np.inf for res in duals]
+        elif np.abs(xi0).max(initial=0.0) <= 1.0 + 1e-9:
+            values = g @ xi0
     values += np.atleast_2d(D) @ Z.c
     return float(values[0]) if D.ndim == 1 else values
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import explore_unreduced
 from oracle import polyhedral_rows
 
-from czempc import cli, condense, lp
+from czempc import cli, lp, sets
 from czempc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_STOPPED, main, parse_problem
 from czempc.condense import (
     MpcProblem,
@@ -605,7 +605,7 @@ def test_stalled_elimination_lp_exits_1(tmp_path, capsys, monkeypatch, command):
     def stalled(*args, **kwargs):
         raise lp.SimplexStalled("simplex iteration cap exceeded")
 
-    monkeypatch.setattr(condense, "solve_stack", stalled)
+    monkeypatch.setattr(sets, "solve_stack", stalled)
     out = tmp_path / "out.json"
     argv = {"solve": ["solve", str(PAPER_PROBLEM), str(out), "-N", "2"],
             "bench": ["bench", str(PAPER_PROBLEM), "--nmin", "2", "--nmax", "2", "--out", str(out)]}[command]

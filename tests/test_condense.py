@@ -21,7 +21,7 @@ from czempc.condense import (
     never_binding,
     resolve_terminal_set,
 )
-from czempc import condense
+from czempc import sets
 from czempc.sets import ConstrainedZonotope, Zonotope
 
 A_DINT = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -138,12 +138,13 @@ def test_polyhedral_form_matches_direct_constraints(rng):
         assert bool(np.all(A @ u.ravel() <= b + E @ x0 + 1e-10)) == direct
 
 
-def test_lqr_gain_matches_riccati_oracle():
-    Q, R = np.eye(2), np.array([[0.1]])
-    K = lqr_gain(A_DINT, B_DINT, Q, R)
-    P = scipy.linalg.solve_discrete_are(A_DINT, B_DINT, Q, R)
-    K_ref = -np.linalg.solve(R + B_DINT.T @ P @ B_DINT, B_DINT.T @ P @ A_DINT)
-    np.testing.assert_allclose(K, K_ref, atol=1e-8)
+def test_lqr_gain_matches_riccati_oracle(paper_doc):
+    paper, _ = parse_problem(paper_doc)
+    for A, B, Q, R in [(A_DINT, B_DINT, np.eye(2), np.array([[0.1]])), (paper.A_d, paper.B_d, paper.Q, paper.R)]:
+        K = lqr_gain(A, B, Q, R)
+        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
+        K_ref = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
 
 
 def test_terminal_set_is_invariant(rng):
@@ -186,7 +187,7 @@ def test_terminal_recurrence_errors():
 def test_iteration_caps_raise(paper_doc):
     p = _dint_problem()
     with pytest.raises(NotConverged):
-        lqr_gain(p.A_d, p.B_d, p.Q, p.R, max_iter=10)  # needs 14 steps
+        lqr_gain(p.A_d, p.B_d, p.Q, p.R, max_iter=4)  # the doubling needs 5 steps
     paper, _ = parse_problem(paper_doc, n_override=1)
     K = lqr_gain(paper.A_d, paper.B_d, paper.Q, paper.R)
     with pytest.raises(NotConverged):
@@ -211,14 +212,14 @@ def test_never_binding_on_an_infeasible_problem(paper_doc, monkeypatch):
     assert never_binding(build_condensed_qp(problem)).size == 8
     far = Zonotope(np.full(4, 100.0), np.eye(4))
     cp = build_condensed_qp(dataclasses.replace(problem, T=far))
-    solve, statuses = condense.solve_stack, []
+    solve, statuses = sets.solve_stack, []
 
     def recording(*args, **kwargs):
         results = solve(*args, **kwargs)
         statuses.extend(res.status for res in results)
         return results
 
-    monkeypatch.setattr(condense, "solve_stack", recording)
+    monkeypatch.setattr(sets, "solve_stack", recording)
     assert never_binding(cp).size == 0
     assert statuses and set(statuses) == {"unbounded"}
 
@@ -252,6 +253,6 @@ def test_never_binding_on_inconsistent_equalities(paper_doc, monkeypatch):
                             np.array([0.0, 0.5]))
     cp = build_condensed_qp(dataclasses.replace(problem, T=T))
     solved = []
-    monkeypatch.setattr(condense, "solve_stack", lambda *args, **kwargs: solved.append(args))
+    monkeypatch.setattr(sets, "solve_stack", lambda *args, **kwargs: solved.append(args))
     assert never_binding(cp).size == 0
     assert not solved

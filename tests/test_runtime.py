@@ -210,3 +210,11 @@ def test_simulate_rejects_negative_steps(dint_tree, dint_problem):
         simulate(dint_tree, *_dynamics(dint_problem), np.zeros(2), steps=-1)
     traj = simulate(dint_tree, *_dynamics(dint_problem), np.zeros(2), steps=0)
     assert traj.states.shape == (1, 2) and traj.inputs.shape[0] == 0
+
+
+def test_simulate_zero_steps_keeps_input_columns(dint_tree, dint_problem):
+    # a trajectory of no steps still has inputs of shape steps x m
+    traj = simulate(dint_tree, *_dynamics(dint_problem), np.array([2.0, -1.0]), steps=0)
+    assert traj.states.shape == (1, 2)
+    assert traj.inputs.shape == (0, 1)
+    assert traj.costs.shape == (0,)

@@ -3,6 +3,8 @@ import pytest
 import scipy.optimize
 from oracle import cz_contains_point, cz_is_empty, zonotope_halfspaces
 
+from czempc import condense
+from czempc.cli import parse_problem
 from czempc.sets import (
     DEFAULT_RADIUS_THRESHOLD,
     ChebyshevResult,
@@ -253,6 +255,84 @@ def test_support_stack_matches_single_directions(rng):
         assert value == pytest.approx(support(Z, d), rel=1e-12, abs=1e-12)
     empty = ConstrainedZonotope(np.zeros(1), np.ones((1, 1)), np.ones((1, 1)), np.array([5.0]))
     assert np.all(support(empty, np.ones((3, 1))) == -np.inf)
+
+
+def _highs_support(Z, d):
+    """``max d'x`` over ``Z`` by HiGHS on the primal box LP; ``-inf`` when infeasible."""
+    g = Z.G.T @ d
+    ref = scipy.optimize.linprog(-g, A_eq=Z.F if Z.num_constraints else None, b_eq=Z.theta if Z.num_constraints else None,
+                                 bounds=[(-1.0, 1.0)] * Z.num_generators, method="highs")
+    assert ref.status in (0, 2)
+    return -np.inf if ref.status == 2 else float(d @ Z.c - ref.fun)
+
+
+def _random_cz(rng, kind):
+    """A seeded constrained zonotope of one kind; its equalities hold at a
+    point of the open box unless the kind is empty."""
+    n, ng = int(rng.integers(1, 4)), int(rng.integers(3, 9))
+    c, G = rng.normal(size=n), rng.normal(size=(n, ng))
+    inside = rng.uniform(-0.8, 0.8, size=ng)
+    if kind == "zonotope":
+        F = np.zeros((0, ng))
+    elif kind in ("point-inside", "point-outside"):  # full column rank: the set is one xi or none
+        F = rng.normal(size=(ng + int(rng.integers(0, 3)), ng))
+        if kind == "point-outside":
+            inside[int(rng.integers(ng))] = rng.choice([-1.0, 1.0]) * rng.uniform(1.1, 2.0)
+    else:
+        F = rng.normal(size=(int(rng.integers(1, ng)), ng))
+    theta = F @ inside
+    if kind == "redundant":  # combinations of the rows, with matching right-hand sides
+        mix = rng.normal(size=(int(rng.integers(1, 4)), F.shape[0]))
+        F, theta = np.vstack([F, mix @ F]), np.concatenate([theta, mix @ theta])
+    elif kind == "inconsistent":  # a repeated row asks for two values
+        F, theta = np.vstack([F, F[:1]]), np.concatenate([theta, theta[:1] + 0.5])
+    elif kind == "empty-box":  # consistent, but w'xi = 1.5 sum(w) has no solution in the box
+        w = rng.uniform(0.5, 2.0, size=ng)
+        F, theta = np.vstack([w, F[: ng - 2]]), np.concatenate([[1.5 * w.sum()], theta[: ng - 2]])
+    return ConstrainedZonotope(c, G, F, theta)
+
+
+SUPPORT_KINDS = ["bounded", "zonotope", "redundant", "point-inside", "point-outside", "inconsistent", "empty-box"]
+
+
+@pytest.mark.parametrize("kind", SUPPORT_KINDS)
+def test_support_against_highs(kind):
+    rng = np.random.default_rng(700 + SUPPORT_KINDS.index(kind))
+    empty = kind in ("point-outside", "inconsistent", "empty-box")
+    for _ in range(8):
+        Z = _random_cz(rng, kind)
+        D = rng.normal(size=(6, Z.dim))
+        values = support(Z, D)
+        assert values.shape == (6,)
+        for d, value in zip(D, values):
+            ref = _highs_support(Z, d)
+            assert (ref == -np.inf) == empty
+            if empty:
+                assert value == -np.inf
+            else:
+                assert value == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
+        assert support(Z, D[0]) == pytest.approx(values[0], rel=1e-12, abs=1e-12)
+
+
+def test_terminal_recurrence_supports_against_highs(paper_doc, monkeypatch):
+    # every support stack of the cz-n1 recurrence: the initial set and the
+    # four steps it takes to settle, each axis support within 1e-9 of HiGHS
+    problem, _ = parse_problem(dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}}))
+    calls = []
+
+    def recording(Z, d):
+        values = support(Z, d)
+        calls.append((Z, np.asarray(d), values))
+        return values
+
+    monkeypatch.setattr(condense, "support", recording)
+    condense.resolve_terminal_set(problem)
+    assert len(calls) == 5
+    assert [Z.num_generators for Z, _, _ in calls] == [6, 12, 18, 24, 30]
+    for Z, D, values in calls:
+        for d, value in zip(D, values):
+            ref = _highs_support(Z, d)
+            assert np.isfinite(ref) and value == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
 
 
 def test_zonotope_halfspaces_box():
