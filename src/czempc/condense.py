@@ -11,6 +11,7 @@ state, input and terminal sets need no facets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,13 @@ class CondensedProblem:
         self.GQG = self.G_D.T @ self.Qtilde @ self.G_D
         self.GQc = self.G_D.T @ (self.Qtilde @ self.c_D)
         self.GHt = self.G_D.T @ self.Htilde.T
+
+    @cached_property
+    def never_binding(self) -> np.ndarray:
+        """:func:`never_binding` of this problem, computed on first use and
+        kept: it depends on nothing else, and every explore of the problem
+        reads it. A problem made by ``replace`` computes its own."""
+        return never_binding(self)
 
     def objective(self, u: np.ndarray, x0: np.ndarray) -> float:
         """Condensed cost 0.5 u'Qt u + x0'Ht u (constant-in-x0 terms dropped)."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 import numpy as np
 
-from czempc.condense import CondensedProblem, eliminate, never_binding
+from czempc.condense import CondensedProblem, eliminate
 from czempc.regions import (
     ActiveSet,
     AffineLaw,
@@ -27,12 +28,14 @@ from czempc.regions import (
 from czempc.sets import DEFAULT_RADIUS_THRESHOLD, Polytope, is_empty, is_empty_stack
 
 VARIANTS = ("baseline", "iter")
-# explore gathers parents for one stacked emptiness test until their fresh
-# candidates times Dbar**2 reach this budget, Dbar being that of the reduced
-# problem: about 255 candidates at Dbar = 14 (paper4state N=3), 195 at 16
-# (N=4), 500 at 10 (N=1 with the LQR-invariant terminal set). A pending
-# stack holds one to three Dbar**2 floats per kept candidate (iter's fewer
-# than baseline's), so the batch's stacks stay near 1 MB.
+# explore gathers parents into a batch until their fresh candidates times
+# Dbar**2 reach this budget, Dbar being that of the reduced problem: about
+# 255 candidates at Dbar = 14 (paper4state N=3), 195 at 16 (N=4), 500 at 10
+# (N=1 with the LQR-invariant terminal set). A batch is one KKT stack per
+# parent cardinality, holding one to three Dbar**2 floats per candidate,
+# and one stack of emptiness LPs: _accept peaks at about 2.5 MB at N=4
+# here, and at 4-5 MB with twice the budget, which is not faster on all
+# of N=3, N=4 and the LQR-invariant case.
 BATCH_BUDGET = 50_000
 
 
@@ -96,24 +99,41 @@ def candidate_indices(active: ActiveSet) -> list:
     return [j for i in range(d) if i not in taken for j in (i + d, i)]
 
 
-def _accept(tree: SolutionTree, results: dict, batch: list, radius_threshold: float, node_cap: int) -> None:
-    """Test every kept candidate of ``batch`` for emptiness as one stack, then
-    append the non-empty ones to ``tree`` per parent, in candidate order, and
-    their region results to ``results`` by node id."""
+def _accept(tree: SolutionTree, results: dict, batch: list, cp: CondensedProblem, eps: float,
+            radius_threshold: float, node_cap: int) -> None:
+    """Solve the fresh candidates of every parent of ``batch`` as one KKT
+    stack per parent cardinality, test the kept ones for emptiness as one
+    stack, then append the non-empty ones to ``tree`` per parent, in
+    candidate order, and their region results to ``results`` by node id.
+
+    ``batch`` holds ``(parent id, fresh, parent)`` in BFS order, ``parent``
+    being the node's active set for ``baseline`` and its region result for
+    ``iter``; so parents of equal cardinality are consecutive, and the
+    stacks, read in order, keep the candidates in batch order."""
+    stacks = []
+    for _, run in groupby(batch, key=lambda item: tree.nodes[item[0]].active.cardinality):
+        run = list(run)
+        parents, added = [parent for _, _, parent in run], [fresh for _, fresh, _ in run]
+        if tree.variant == "baseline":
+            stack = region_from_scratch(cp, parents, added)
+        else:
+            stack = region_iterative(cp, parents, added, eps)
+        tree.stats.numerical += len(stack.reasons) - stack.kept.size
+        stacks.append(([(parent, i) for parent, fresh, _ in run for i in fresh], stack))
     empty = is_empty_stack(
-        np.concatenate([stack.L for _, _, stack in batch]), np.concatenate([stack.l for _, _, stack in batch]),
+        np.concatenate([stack.L for _, stack in stacks]), np.concatenate([stack.l for _, stack in stacks]),
         radius_threshold,
     )
     tree.stats.empty += int(empty.sum())
-    for parent, fresh, stack in batch:
-        parent_empty, empty = empty[: stack.kept.size], empty[stack.kept.size :]
-        for position in stack.kept[~parent_empty]:
+    for edges, stack in stacks:
+        stack_empty, empty = empty[: stack.kept.size], empty[stack.kept.size :]
+        for position in stack.kept[~stack_empty]:
             tree.stats.discovered += 1
             if len(tree.nodes) >= node_cap:
                 raise ResourceCap(f"node cap {node_cap} exceeded")
             res = results[len(tree.nodes)] = stack.result(position)
             tree.index[res.active.bits] = len(tree.nodes)
-            tree.nodes.append(RegionNode(res.active, res.law, res.region, len(tree.nodes), parent, fresh[position]))
+            tree.nodes.append(RegionNode(res.active, res.law, res.region, len(tree.nodes), *edges[position]))
 
 
 def check_thresholds(radius_threshold: float, eps: float) -> None:
@@ -137,14 +157,16 @@ def explore(
 
     ``variant`` selects how child regions are computed: 'baseline' from
     scratch, 'iter' by low-rank updates of the parent's factorizations.
-    Either way each parent's fresh candidates are solved as one stack; the
-    stacks of consecutive parents, up to :data:`BATCH_BUDGET`, are tested for
-    emptiness as one stack, and both variants accept the same candidates.
+    Either way the BFS gathers consecutive parents and their fresh
+    candidates into a batch, up to :data:`BATCH_BUDGET`; it then solves the
+    batch's KKT systems as one stack per parent cardinality (at most two,
+    as a batch spans at most two depths) and tests the kept candidates for
+    emptiness as one stack. Both variants accept the same candidates.
 
     The BFS runs over the lifted coordinates whose box bounds can bind: the
-    coordinates ``E`` of :func:`~czempc.condense.never_binding` are
-    eliminated first, so no candidate activates one of their facets (none
-    would be accepted). Active sets and edge labels are mapped back to
+    coordinates ``E`` of :func:`~czempc.condense.never_binding`, which
+    ``cp`` computes once and keeps, are eliminated first, so no candidate
+    activates one of their facets (none would be accepted). Active sets and edge labels are mapped back to
     ``cp``'s indices; each region keeps the ``2 d`` rows the reduced BFS
     computed, ``d`` being the number of coordinates explored. The rows of
     the ``E`` facets are redundant and left out: ``never_binding`` keeps
@@ -157,15 +179,21 @@ def explore(
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     check_thresholds(radius_threshold, eps)
-    reduced, kept = eliminate(cp, never_binding(cp))
+    reduced, kept = eliminate(cp, cp.never_binding)
     return _lift(_explore(reduced, variant, radius_threshold, eps, node_cap), cp.Dbar, kept)
 
 
 def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: float, node_cap: int) -> SolutionTree:
-    """The BFS of :func:`explore` over all of ``cp``'s lifted coordinates."""
+    """The BFS of :func:`explore` over all of ``cp``'s lifted coordinates.
+
+    Expanding a node only enumerates and deduplicates its candidates; the
+    batch keeps what its variant's solver needs of the node (the active set
+    for ``baseline``, the region result for ``iter``) until :func:`_accept`
+    solves every parent of the batch together. A single parent is a batch
+    of one."""
     tree = SolutionTree(cp.Dbar, cp.n, cp.m, cp.N, variant, radius_threshold)
     try:
-        root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+        root = region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     except RegionRejected as exc:
         raise InfeasibleProblem(f"root region rejected: {exc.reason}") from exc
     if is_empty(Polytope(root.region.L, root.region.l), radius_threshold):
@@ -173,13 +201,14 @@ def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: f
     tree.nodes.append(RegionNode(root.active, root.law, root.region, 0, None, None))
     tree.index[root.active.bits] = 0
     # the region result each node was accepted from, kept until the node is
-    # expanded: iter updates its KKT factors into the children
+    # expanded and its batch solved: iter updates its KKT factors into the
+    # children
     results = {0: root}
 
     seen = set(tree.index)  # bits of every candidate examined so far, accepted or not
     depth = cp.Dbar - cp.nbar_c  # Z has no columns here: every child would be singular
     stats = tree.stats
-    batch, size = [], 0  # (parent id, fresh, stack) of the pending parents; their candidate count
+    batch, size = [], 0  # (parent id, fresh, parent) of the pending parents; their candidate count
     for position, node in enumerate(tree.nodes):  # grows at each batch, so nodes are visited in BFS order
         res = results.pop(position)
         if node.active.cardinality < depth:
@@ -190,16 +219,12 @@ def _explore(cp: CondensedProblem, variant: str, radius_threshold: float, eps: f
             stats.examined += len(candidates)
             stats.dedup += len(candidates) - len(fresh)
             if fresh:
-                if variant == "baseline":
-                    batch.append((position, fresh, region_from_scratch(cp, node.active, fresh)))
-                else:
-                    batch.append((position, fresh, region_iterative(cp, res, fresh, eps)))
-                stats.numerical += len(fresh) - batch[-1][2].kept.size
+                batch.append((position, fresh, node.active if variant == "baseline" else res))
                 size += len(fresh)
         # decide the batch once it fills the budget or no known node is left
         if batch and (size * cp.Dbar**2 >= BATCH_BUDGET or position + 1 == len(tree.nodes)):
-            _accept(tree, results, batch, radius_threshold, node_cap)
-            batch, size = [], 0  # frees the batch's stacks before the next batch
+            _accept(tree, results, batch, cp, eps, radius_threshold, node_cap)
+            batch, size = [], 0  # frees the batch's parents and stacks before the next batch
     return tree
 
 

@@ -2,11 +2,12 @@
 
 Provides orthonormal and sparse null-space bases and the rank-2 Woodbury
 inverse update that tracks a single active-set insertion. The update works
-on stacks (a leading axis of candidates), so one parent is updated into all
-of its children at once, and keeps each result as factors that multiply a
-matrix from either side without forming the updated inverse. The dense
-single-column Greville pseudoinverse step is not used by the region solver,
-which reads its multipliers off the KKT inverse.
+on stacks (a leading axis of candidates, each with its own inverse), so the
+parents of a batch are updated into all of their children at once, and
+keeps each result as factors that multiply a matrix from either side
+without forming the updated inverse. The dense single-column Greville
+pseudoinverse step is not used by the region solver, which reads its
+multipliers off the KKT inverse.
 
 All functions are pure; inputs are never modified in place.
 """
@@ -71,7 +72,8 @@ def sparse_null_basis(z: np.ndarray, j) -> np.ndarray:
 @dataclass(frozen=True)
 class Rank2InverseUpdate:
     """A stack of updated inverses kept as factors: item ``b`` is
-    ``inv(P_b (K + U_b W_b)) = (Kinv - KU[b] @ X[b])[:, order[b]]``.
+    ``inv(P_b (K_b + U_b W_b)) = (Kinv[b] - KU[b] @ X[b])[:, order[b]]``,
+    ``Kinv[b]`` being the inverse of the item's own ``K_b`` (its parent's).
 
     ``update @ V`` multiplies each inverse by its ``V[b]`` (B, n, r) and
     ``V @ update`` multiplies ``V[b]`` (B, r, n) by it, without forming it;
@@ -80,7 +82,7 @@ class Rank2InverseUpdate:
 
     __array_ufunc__ = None  # ``ndarray @ update`` defers to ``__rmatmul__``
 
-    Kinv: np.ndarray  # n x n, shared
+    Kinv: np.ndarray  # B x n x n, one per item
     KU: np.ndarray  # B x n x 2
     X: np.ndarray  # B x 2 x n
     order: np.ndarray  # B x n
@@ -95,29 +97,32 @@ class Rank2InverseUpdate:
         return np.take_along_axis(M, self.order[:, None, :], axis=2)  # column q is column order[q]
 
     def __getitem__(self, b: int) -> np.ndarray:
-        return (self.Kinv - self.KU[b] @ self.X[b])[:, self.order[b]]
+        return (self.Kinv[b] - self.KU[b] @ self.X[b])[:, self.order[b]]
 
 
 def woodbury_rank2_update(Kinv: np.ndarray, U: np.ndarray, W: np.ndarray, src, dst, eps: float = 1e-10):
-    """Inverses of ``P_b @ (K + U_b @ W_b)`` for a stack ``b`` given ``Kinv = inv(K)``.
+    """Inverses of ``P_b @ (K_b + U_b @ W_b)`` for a stack ``b`` given
+    ``Kinv[b] = inv(K_b)``.
 
-    ``P_b`` moves row ``src[b]`` to position ``dst[b]``; the other rows keep
-    their order. ``U`` is (B, n, 2) and ``W`` is (B, 2, n), so only the 2x2
-    capacitance matrices ``I + W_b @ Kinv @ U_b`` must be inverted. Item
-    ``b`` is singular when the smallest eigenvalue magnitude of its
-    capacitance matrix is at most ``eps`` scaled by its Frobenius norm.
-    Returns ``(update, singular)``: the mask ``singular`` (B,) and a
+    ``Kinv`` is (B, n, n), one inverse per item, or one (n, n) inverse that
+    every item shares. ``P_b`` moves row ``src[b]`` to position ``dst[b]``;
+    the other rows keep their order. ``U`` is (B, n, 2) and ``W`` is
+    (B, 2, n), so only the 2x2 capacitance matrices
+    ``I + W_b @ Kinv[b] @ U_b`` must be inverted. Item ``b`` is singular
+    when the smallest eigenvalue magnitude of its capacitance matrix is at
+    most ``eps`` scaled by its Frobenius norm. Returns ``(update,
+    singular)``: the mask ``singular`` (B,) and a
     :class:`Rank2InverseUpdate` of the other items, in order.
     """
-    Kinv = np.asarray(Kinv, dtype=float)
     U = np.asarray(U, dtype=float)
     W = np.asarray(W, dtype=float)
+    Kinv = np.broadcast_to(np.asarray(Kinv, dtype=float), (U.shape[0],) + U.shape[1:2] * 2)
     KU = Kinv @ U
     F2 = np.eye(2) + W @ KU
     scale = np.maximum(1.0, np.linalg.norm(F2, "fro", axis=(1, 2)))
     singular = np.abs(np.linalg.eigvals(F2)).min(axis=1, initial=np.inf) <= eps * scale
     ok = ~singular
-    KU, F2, W = KU[ok], F2[ok], W[ok]
+    Kinv, KU, F2, W = Kinv[ok], KU[ok], F2[ok], W[ok]
     # right-multiplying by P^T moves column src to dst
     p = np.arange(U.shape[1])
     src = np.broadcast_to(np.asarray(src), ok.shape)[ok][:, None]

@@ -5,8 +5,8 @@ affine control law and a polyhedral critical region, obtained from the
 second-order KKT system of the lifted QP. Regions can be computed from
 scratch (one SVD for the null basis, a dense inverse) or by the low-rank
 updates that track a single constraint insertion; either way all children of
-one parent are solved as one stack, and the multipliers are read off the KKT
-inverse.
+a batch's parents of one cardinality are solved as one stack, and the
+multipliers are read off the KKT inverse.
 """
 
 from __future__ import annotations
@@ -144,21 +144,21 @@ def _positive_definite(H: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RegionStack:
-    """Candidate regions of one parent, solved as one stack.
+    """Candidate regions of one or more parents of equal cardinality,
+    solved as one stack.
 
-    Position ``p`` of the candidates is active set ``base + {added[p]}``
-    (just ``base`` where ``added[p] < 0``). ``reasons[p]`` is the rejection
-    reason of a candidate, or None; ``kept`` lists the positions that passed,
-    and every stack below holds those, in the same order. ``Kinv`` is an
-    array or a factored update: either takes ``@`` per item from both sides
-    and ``[i]`` for a dense item. ``u[i] @ [1; x0]`` is the law and
-    ``S[i] @ [1; x0]`` the duals ``[lambda; mu_A]``; ``L``/``l`` are the
-    region rows the emptiness test reads.
+    Position ``p`` of the candidates has the sorted active indices
+    ``act[p]``: its parent's plus the one it adds. ``reasons[p]`` is the
+    rejection reason of a candidate, or None; ``kept`` lists the positions
+    that passed, and every stack below holds those, in the same order.
+    ``Kinv`` is an array or a factored update: either takes ``@`` per item
+    from both sides and ``[i]`` for a dense item. ``u[i] @ [1; x0]`` is the
+    law and ``S[i] @ [1; x0]`` the duals ``[lambda; mu_A]``; ``L``/``l`` are
+    the region rows the emptiness test reads.
     """
 
     cp: CondensedProblem
-    base: ActiveSet
-    added: np.ndarray
+    act: np.ndarray
     reasons: list
     kept: np.ndarray
     Z: np.ndarray
@@ -175,20 +175,18 @@ class RegionStack:
         if self.reasons[position] is not None:
             raise RegionRejected(self.reasons[position])
         i = int(np.searchsorted(self.kept, position))
-        added = int(self.added[position])
-        active = self.base.with_index(added) if added >= 0 else self.base
+        active = ActiveSet(self.cp.Dbar, tuple(self.act[position]))
         law = AffineLaw(self.u[i, :, 1:].copy(), self.u[i, :, 0].copy())
         region = CriticalRegion(self.L[i].copy(), self.l[i].copy())
         return RegionResult(active, law, region, self.Z[i].copy(), np.array(self.Kinv[i]))
 
 
-def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, inactive) -> RegionStack:
+def _finish(cp: CondensedProblem, act, reasons, kept, Z, Kinv) -> RegionStack:
     """Laws, duals and region rows of a stack of KKT systems.
 
-    ``Z`` (B, Dbar, k), the inverses ``Kinv`` and the inactive facet indices
-    ``inactive`` (B, 2 Dbar - n_A) belong to the kept candidates. Every map
-    is affine in ``x0`` and is carried as one matrix with the constant in
-    column 0.
+    ``Z`` (B, Dbar, k) and the inverses ``Kinv`` belong to the kept
+    candidates, whose active indices are ``act[kept]``. Every map is affine
+    in ``x0`` and is carried as one matrix with the constant in column 0.
     """
     B, k, nc, n = Z.shape[0], Z.shape[2], cp.nbar_c, cp.n
     # right-hand side [-Z'(GQc + GHt x0); theta_D(x0); 1] of the KKT system
@@ -207,9 +205,12 @@ def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, inactive)
     grad = cp.G_D.T @ (cp.Qtilde @ u)
     grad[:, :, 1:] += cp.GHt
     S = -(grad.swapaxes(1, 2) @ Kinv)[:, :, k:].swapaxes(1, 2)
-    # rows: inactive facets Y_I xi*(x0) <= 1, then mu_A(x0) >= 0; row i of Y
-    # is e_i for i < Dbar and -e_(i - Dbar) after
-    rows = inactive.shape[1]
+    # rows: inactive facets Y_I xi*(x0) <= 1, in increasing order, then
+    # mu_A(x0) >= 0; row i of Y is e_i for i < Dbar and -e_(i - Dbar) after
+    rows = 2 * cp.Dbar - act.shape[1]
+    inactive = np.ones((B, 2 * cp.Dbar), dtype=bool)
+    inactive[np.arange(B)[:, None], act[kept]] = False
+    inactive = np.nonzero(inactive)[1].reshape(B, rows)
     YKk = Kk[np.arange(B)[:, None], inactive % cp.Dbar] * np.where(inactive < cp.Dbar, 1.0, -1.0)[:, :, None]
     L = np.empty((B, rows + S.shape[1] - nc, n))
     L[:, :rows] = YKk[:, :, 1:]
@@ -217,7 +218,7 @@ def _finish(cp: CondensedProblem, base, added, reasons, kept, Z, Kinv, inactive)
     l = np.empty((B, L.shape[1]))
     l[:, :rows] = 1.0 - YKk[:, :, 0]
     l[:, rows:] = S[:, nc:, 0]
-    return RegionStack(cp, base, added, reasons, kept, Z, Kinv, kappa, u, S, L, l)
+    return RegionStack(cp, act, reasons, kept, Z, Kinv, kappa, u, S, L, l)
 
 
 def _reject(reasons: list, live: np.ndarray, bad: np.ndarray, reason: str) -> np.ndarray:
@@ -240,12 +241,31 @@ def _invert(K: np.ndarray) -> tuple:
         return np.concatenate([inv for inv, _ in parts]), np.concatenate([bad for _, bad in parts])
 
 
-def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionStack:
-    """Regions ``base + {i}`` for every ``i`` in ``added`` (all inactive in
-    ``base``), or ``base`` alone for ``added = [-1]``, each by a full KKT
-    solve, computed as one stack. ``added`` holds either inactive indices
-    only or the single -1; a single region is ``.result(0)`` of a stack of
-    one.
+def _stack(bases: list, added: list) -> tuple:
+    """The candidates ``bases[b] + {i}`` for ``i`` in ``added[b]``, over
+    every ``b`` in turn: per position, its parent ``owner`` (the ``b``), its
+    added index ``idx``, its parent's active indices ``base`` and its own
+    ``act`` (both sorted, one row per position). Every base must have the
+    same cardinality (``ValueError`` otherwise). ``added`` holds either
+    inactive indices only or the single -1 per base, which stands for the
+    base itself."""
+    card = {b.cardinality for b in bases}
+    if len(card) != 1:
+        raise ValueError("the parents of a stack must have one cardinality")
+    owner = np.repeat(np.arange(len(bases)), [len(a) for a in added])
+    idx = np.array([i for a in added for i in a], dtype=int)
+    base = np.array([b.indices for b in bases], dtype=int).reshape(len(bases), card.pop())[owner]
+    act = np.sort(np.column_stack([base, idx]), axis=1) if (idx >= 0).any() else base
+    return owner, idx, base, act
+
+
+def region_from_scratch(cp: CondensedProblem, bases: list, added: list) -> RegionStack:
+    """Regions ``bases[b] + {i}`` for every ``i`` in ``added[b]`` (all
+    inactive in ``bases[b]``), or ``bases[b]`` alone for ``added[b] =
+    [-1]``, each by a full KKT solve, computed as one stack over all the
+    bases, which must share one cardinality. Position ``p`` of the stack is
+    the ``p``-th candidate of ``added`` read in order; a single region is
+    ``region_from_scratch(cp, [base], [[-1]]).result(0)``.
 
     One SVD ``T = U diag(s) V'`` of each ``T = [F_D' Y_A']`` gives the rank
     test (``singular`` unless ``s_min > SVD_RTOL * s_max``) and the
@@ -254,15 +274,12 @@ def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionS
     fails the Cholesky test and with ``singular`` when
     ``K = [Z'GQG; F_D; Y_A]`` cannot be inverted.
     """
-    idx = np.asarray(added, dtype=int)
-    act = np.broadcast_to(np.array(base.indices, dtype=int), (idx.size, base.cardinality))
-    if (idx >= 0).any():
-        act = np.sort(np.column_stack([act, idx]), axis=1)
+    _, idx, _, act = _stack(bases, added)
     nc, r = cp.nbar_c, cp.nbar_c + act.shape[1]
     if r > cp.Dbar:  # more constraints than lifted coordinates (at the root too
         D, n = cp.Dbar, cp.n  # when nbar_c > Dbar): an empty stack, every candidate singular
         return RegionStack(
-            cp, base, idx, ["singular"] * idx.size, np.arange(0), np.zeros((0, D, 0)), np.zeros((0, D, D)),
+            cp, act, ["singular"] * idx.size, np.arange(0), np.zeros((0, D, 0)), np.zeros((0, D, D)),
             np.zeros((0, D, n + 1)), np.zeros((0, cp.N * cp.m, n + 1)), np.zeros((0, D, n + 1)),
             np.zeros((0, 2 * D, n)), np.zeros((0, 2 * D)),
         )
@@ -281,16 +298,15 @@ def region_from_scratch(cp: CondensedProblem, base: ActiveSet, added) -> RegionS
     if bad.any():
         ok = _reject(reasons, live, bad, "singular")
         live, Z, Kinv = live[ok], Z[ok], Kinv[ok]
-    inactive = np.ones((live.size, 2 * cp.Dbar), dtype=bool)
-    inactive[np.arange(live.size)[:, None], act[live]] = False
-    inactive = np.nonzero(inactive)[1].reshape(live.size, 2 * cp.Dbar - act.shape[1])
-    return _finish(cp, base, idx, reasons, live, Z, Kinv, inactive)
+    return _finish(cp, act, reasons, live, Z, Kinv)
 
 
-def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, eps: float = 1e-10) -> RegionStack:
-    """Child regions ``parent.active + {i}`` for every ``i`` in ``new_indices``
-    (all inactive in the parent; ``ValueError`` otherwise), by low-rank
-    updates solved as one stack.
+def region_iterative(cp: CondensedProblem, parents: list, added: list, eps: float = 1e-10) -> RegionStack:
+    """Child regions ``parents[b].active + {i}`` for every ``i`` in
+    ``added[b]`` (all inactive in that parent; ``ValueError`` otherwise), by
+    low-rank updates of each child's own parent, solved as one stack over
+    all the parents, which must share one cardinality. Positions follow
+    ``added`` read in order, as in :func:`region_from_scratch`.
 
     For each child the null basis shrinks by one column (sparse kernel of
     the row ``z = y_i Zp`` with pivot ``j = argmax |z|``, so
@@ -300,38 +316,34 @@ def region_iterative(cp: CondensedProblem, parent: RegionResult, new_indices, ep
     Cholesky test and with ``singular`` when ``z`` vanishes or the 2x2 update
     factor degenerates.
     """
-    active = parent.active
-    if any(active.contains(int(i)) for i in new_indices):
+    bases = [p.active for p in parents]
+    owner, idx, base, act = _stack(bases, added)
+    if (base == idx[:, None]).any():
         raise ValueError("index already active")
-    idx = np.asarray(new_indices, dtype=int)
-    Zp, kp, nc = parent.Z, parent.Z.shape[1], cp.nbar_c
+    kp, nc = parents[0].Z.shape[1], cp.nbar_c
     if kp == 0:  # K cannot stay square past this depth: every child has more
-        return region_from_scratch(cp, active, idx)  # constraints than coordinates
+        return region_from_scratch(cp, bases, added)  # constraints than coordinates
     reasons = [None] * idx.size
     live = np.arange(idx.size)  # candidate positions still in the stack
-    z = cp.Y[idx[live]] @ Zp
+    Zp = np.stack([p.Z for p in parents])[owner]  # (B, Dbar, kp): each child's parent basis
+    z = (cp.Y[idx][:, None] @ Zp)[:, 0]  # each y_i Zp, exact: y_i is a signed unit row
     j = np.abs(z).argmax(axis=1)
     ok = _reject(reasons, live, np.abs(z[np.arange(live.size), j]) <= PIVOT_TOL, "singular")
-    live, z, j = live[ok], z[ok], j[ok]
+    live, z, j, Zp = live[ok], z[ok], j[ok], Zp[ok]
     Zc = Zp @ sparse_null_basis(z, j)
     ok = _reject(reasons, live, ~_positive_definite(Zc.swapaxes(1, 2) @ cp.GQG @ Zc), "second_order")
-    live, z, j, Zc = live[ok], z[ok], j[ok], Zc[ok]
+    live, z, j, Zp, Zc = live[ok], z[ok], j[ok], Zp[ok], Zc[ok]
 
     rows = np.arange(live.size)
     U = np.zeros((live.size, cp.Dbar, 2))
     U[rows, j, 0] = 1.0
     U[:, :kp, 1] = -z / z[rows, j][:, None]
-    W = np.stack([cp.Y[idx[live]], Zp[:, j].T @ cp.GQG], axis=1)
-    target = (kp - 1) + nc + np.searchsorted(active.indices, idx[live])  # the new row's place among Y_A's
-    Kinv, singular = woodbury_rank2_update(parent.Kinv, U, W, j, target, eps)
+    W = np.stack([cp.Y[idx[live]], Zp[rows, :, j] @ cp.GQG], axis=1)
+    target = (kp - 1) + nc + (base[live] < idx[live, None]).sum(axis=1)  # the new row's place among Y_A's
+    Kinv = np.stack([p.Kinv for p in parents])[owner[live]]
+    Kinv, singular = woodbury_rank2_update(Kinv, U, W, j, target, eps)
     ok = _reject(reasons, live, singular, "singular")
-    live, Zc = live[ok], Zc[ok]
-
-    # the child's inactive facets: the parent's minus the new index
-    inactive = active.inactive()
-    r = np.arange(inactive.size - 1)
-    drop = np.searchsorted(inactive, idx[live])[:, None]
-    return _finish(cp, active, idx, reasons, live, Zc, Kinv, inactive[r + (r >= drop)])
+    return _finish(cp, act, reasons, live[ok], Zc[ok], Kinv)
 
 
 def reduced_active_set(A: np.ndarray, b: np.ndarray, E: np.ndarray, law: AffineLaw, tol: float = ARED_TOL) -> tuple:

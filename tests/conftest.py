@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from czempc.cli import parse_problem
-from czempc.condense import build_condensed_qp
-from czempc import explorer
+from czempc.condense import CondensedProblem, build_condensed_qp
 from czempc.explorer import explore
 from czempc.regions import RegionRejected, RegionStack, region_from_scratch, region_iterative
 
@@ -45,7 +44,7 @@ def explore_unreduced(cp, **options):
     """:func:`explore` with no lifted coordinate eliminated: the BFS over all
     ``2 Dbar`` facets of ``cp``, the reference the reduced BFS reproduces."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(explorer, "never_binding", lambda cp: np.arange(0))
+        patch.setattr(CondensedProblem, "never_binding", property(lambda cp: np.arange(0)))
         return explore(cp, **options)
 
 
@@ -58,14 +57,14 @@ def node_results(cp, tree, eps=1e-10) -> list:
     children = {nd.node_id: [] for nd in tree.nodes}
     for parent, child, _ in tree.edges():
         children[parent].append(child)
-    solves = [NodeSolve(region_from_scratch(cp, tree.nodes[0].active, [-1]), 0)] + [None] * (tree.num_regions - 1)
+    solves = [NodeSolve(region_from_scratch(cp, [tree.nodes[0].active], [[-1]]), 0)] + [None] * (tree.num_regions - 1)
     for nd in tree.nodes:  # BFS order: a parent's stack is ready before its children's
         if children[nd.node_id]:
             added = [tree.nodes[child].edge_label for child in children[nd.node_id]]
             if tree.variant == "baseline":
-                stack = region_from_scratch(cp, nd.active, added)
+                stack = region_from_scratch(cp, [nd.active], [added])
             else:
-                stack = region_iterative(cp, solves[nd.node_id].result(), added, eps)
+                stack = region_iterative(cp, [solves[nd.node_id].result()], [added], eps)
             for position, child in enumerate(children[nd.node_id]):
                 if stack.reasons[position] is not None:
                     raise RegionRejected(stack.reasons[position])

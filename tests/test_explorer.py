@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from conftest import ROOT, explore_unreduced
 from oracle import ActiveSubsetOracle, oracle_qp, polyhedral_feasible
 
-from czempc import explorer
-from czempc.condense import NEVER_BINDS_MARGIN, MpcProblem, build_condensed_qp, never_binding
+from czempc import condense, explorer
+from czempc.condense import NEVER_BINDS_MARGIN, MpcProblem, build_condensed_qp, eliminate, never_binding
 from czempc.cli import parse_problem
 from czempc.explorer import (
     InfeasibleProblem,
@@ -107,24 +108,35 @@ def test_variants_agree_cz_terminal(paper_doc):
 @pytest.mark.parametrize("problem", ["paper-n2", "cz-n1"])
 def test_batch_budget_changes_nothing(monkeypatch, paper_doc, problem, variant):
     # a budget of one candidate decides each parent alone; an unbounded one
-    # decides every known node, a whole BFS level, at once
+    # decides every known node, a whole BFS level, at once; each batch
+    # solves its KKT systems in one call per parent cardinality
     doc = dict(paper_doc, N=2) if problem == "paper-n2" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
     cp = build_condensed_qp(parse_problem(doc)[0])
-    stacks = []
+    stacks, solves = [], []
 
     def counting(L, l, radius_threshold):
         stacks.append(len(L))
         return is_empty_stack(L, l, radius_threshold)
 
+    def counted(solver):
+        def wrapper(*args):
+            solves.append(solver.__name__)
+            return solver(*args)
+        return wrapper
+
     monkeypatch.setattr(explorer, "is_empty_stack", counting)
-    default, texts, calls = explorer.BATCH_BUDGET, {}, {}
+    for name in ("region_from_scratch", "region_iterative"):
+        monkeypatch.setattr(explorer, name, counted(getattr(explorer, name)))
+    default, texts, calls, kkt = explorer.BATCH_BUDGET, {}, {}, {}
     for budget in (1, default, np.inf):
         monkeypatch.setattr(explorer, "BATCH_BUDGET", budget)
         stacks.clear()
+        solves.clear()
         texts[budget] = export_json(explore(cp, variant=variant))
-        calls[budget] = len(stacks)
+        calls[budget], kkt[budget] = len(stacks), len(solves)
     assert texts[1] == texts[default] == texts[np.inf]
     assert calls[1] >= calls[default] >= calls[np.inf] and calls[1] > calls[np.inf]
+    assert kkt[1] >= kkt[default] >= kkt[np.inf] and kkt[1] > kkt[np.inf]
 
 
 def test_unknown_variant(dint_cp):
@@ -421,6 +433,53 @@ def test_reduced_bfs_matches_unreduced(name, variant, paper_doc, dint_doc):
     assert ref_st.numerical + ref_st.empty - st.numerical - st.empty == eliminated
     if not E.size:
         assert st == ref_st
+
+
+# SHA-256 of each tree's structure: node ids, parents, active sets, edge
+# labels and stats. These are integers, so the hash does not depend on the
+# BLAS; both variants give the same structure. A change that moves a tree on
+# purpose must say so where it updates a hash here.
+TREE_STRUCTURE_SHA256 = {
+    "paper-n1": "e31354f198c4ac77576f69f214dfb00f8d331139443c96391df7bd8a8c6c7c0c",
+    "paper-n2": "791e3e3a675597ab7e9f1f107190ac9c0dc29923a31854b9c030e5a9af07a8da",
+    "paper-n3": "6650054d0cab0b24db81c9171d1aa01b7d85cd1c04283c5a7f9e71fb4b6d50b0",
+    "cz-n1": "c3fe1096dc884cfaf2598a20e57ce5fa197333e1c135b15caf83e231dad6a89a",
+    "doubleint": "ee7d2b029d0381df7290690893a276a4efd877cfea40292a502f2911e46abec0",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list(TREE_STRUCTURE_SHA256))
+def test_tree_structure_is_pinned(name, variant, paper_doc, dint_doc):
+    tree = explore(build_condensed_qp(_named_problem(name, paper_doc, dint_doc)), variant=variant)
+    nodes = [[nd.node_id, nd.parent, list(nd.active.indices), nd.edge_label] for nd in tree.nodes]
+    text = json.dumps([nodes, dataclasses.asdict(tree.stats)])
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_STRUCTURE_SHA256[name]
+
+
+def test_never_binding_is_computed_once_per_problem(monkeypatch, paper_doc):
+    # E depends only on the problem: two explores of one problem make one
+    # support call, a rebuilt problem makes its own, and the reduced problem
+    # does not inherit the cached set
+    calls = []
+    support = condense.support
+
+    def counted(*args):
+        calls.append(1)
+        return support(*args)
+
+    monkeypatch.setattr(condense, "support", counted)
+    problem = parse_problem(dict(paper_doc, N=2))[0]
+    cp = build_condensed_qp(problem)
+    calls.clear()
+    trees = [export_json(explore(cp, variant=v)) for v in VARIANTS + VARIANTS]
+    assert len(calls) == 1
+    rebuilt = build_condensed_qp(problem)
+    calls.clear()
+    assert export_json(explore(rebuilt, variant="iter")) == trees[1]
+    assert len(calls) == 1
+    assert np.array_equal(rebuilt.never_binding, never_binding(cp))
+    assert "never_binding" not in vars(eliminate(cp, cp.never_binding)[0])
 
 
 def test_eliminated_coordinates(paper_doc, dint_doc):

@@ -45,7 +45,7 @@ def test_active_set_with_index_and_inactive():
 
 def test_root_region_is_unconstrained_law(dint_cp):
     cp = dint_cp
-    res = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+    res = region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     # with no active facets the law is the unconstrained mpQP minimizer
     Ku_ref = -np.linalg.solve(cp.Qtilde, cp.Htilde.T)
     np.testing.assert_allclose(res.law.Ku, Ku_ref, atol=1e-9)
@@ -55,16 +55,16 @@ def test_root_region_is_unconstrained_law(dint_cp):
 
 def test_iterative_matches_scratch_one_level(dint_cp):
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+    root = region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     checked = 0
     for i in range(2 * cp.Dbar):
         try:
-            it = region_iterative(cp, root, [i]).result(0)
+            it = region_iterative(cp, [root], [[i]]).result(0)
         except RegionRejected:
             with pytest.raises(RegionRejected):
-                region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)), [-1]).result(0)
+                region_from_scratch(cp, [ActiveSet(cp.Dbar, (i,))], [[-1]]).result(0)
             continue
-        sc = region_from_scratch(cp, ActiveSet(cp.Dbar, (i,)), [-1]).result(0)
+        sc = region_from_scratch(cp, [ActiveSet(cp.Dbar, (i,))], [[-1]]).result(0)
         np.testing.assert_allclose(it.law.Ku, sc.law.Ku, atol=1e-9)
         np.testing.assert_allclose(it.law.ku, sc.law.ku, atol=1e-9)
         np.testing.assert_allclose(it.region.L, sc.region.L, atol=1e-9)
@@ -90,12 +90,12 @@ def test_children_stack_matches_scratch(case, paper_doc):
         if nd.active.cardinality >= cp.Dbar - cp.nbar_c:
             continue
         candidates = candidate_indices(nd.active)
-        stack = region_iterative(cp, solve.result(), candidates)
+        stack = region_iterative(cp, [solve.result()], [candidates])
         assert stack.L.shape == (stack.kept.size, 2 * cp.Dbar, cp.n)
         for position, i in enumerate(candidates):
             child = nd.active.with_index(i)
             try:
-                sc = region_from_scratch(cp, child, [-1]).result(0)
+                sc = region_from_scratch(cp, [child], [[-1]]).result(0)
             except RegionRejected:
                 with pytest.raises(RegionRejected):
                     stack.result(position)
@@ -132,6 +132,72 @@ def test_node_results_replay_the_explored_tree(case, variant, paper_doc):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def _explored_batches(cp, variant, monkeypatch) -> list:
+    """The KKT solver calls ``explore(cp, variant)`` makes past the root,
+    one list per batch it decides: ``(reduced cp, parents, added)``."""
+    batches, calls, is_empty_stack = [], [], explorer.is_empty_stack
+
+    def recorded(solver):
+        def wrapper(cp, parents, added, *args):
+            calls.append((cp, parents, added))
+            return solver(cp, parents, added, *args)
+        return wrapper
+
+    def decide(L, l, radius_threshold):
+        batches.append(calls[:])
+        calls.clear()
+        return is_empty_stack(L, l, radius_threshold)
+
+    for name in ("region_from_scratch", "region_iterative"):
+        monkeypatch.setattr(explorer, name, recorded(getattr(explorer, name)))
+    monkeypatch.setattr(explorer, "is_empty_stack", decide)
+    explore(cp, variant=variant)
+    monkeypatch.undo()
+    return [[call for call in batch if call[2] != [[-1]]] for batch in batches]
+
+
+@pytest.mark.parametrize("variant", explorer.VARIANTS)
+@pytest.mark.parametrize("case", ["paper4state-N3", "cz-n1"])
+def test_cross_parent_stack_matches_parents_alone(case, variant, paper_doc, monkeypatch):
+    # the fresh candidates of several parents, solved as one stack, against
+    # each parent's solved alone: the parents of the first paper4state N=3
+    # batch that spans two cardinalities (one stack each), and every level-1
+    # parent of cz-n1; the same reasons and kept positions, and the same
+    # laws, duals and rows within 1e-12 (relative)
+    doc = dict(paper_doc, N=3) if case == "paper4state-N3" else dict(paper_doc, N=1, T={"recurrence": {"K": "lqr"}})
+    batches = _explored_batches(build_condensed_qp(parse_problem(doc)[0]), variant, monkeypatch)
+    def cardinality(parent):
+        return (parent if variant == "baseline" else parent.active).cardinality
+
+    if case == "paper4state-N3":
+        stacks = next(batch for batch in batches if len(batch) == 2)
+        low, high = (cardinality(parents[0]) for _, parents, _ in stacks)
+        assert high == low + 1
+    else:
+        level1 = [(cp, p, a) for batch in batches for cp, parents, added in batch for p, a in zip(parents, added)
+                  if cardinality(p) == 1]
+        stacks = [(level1[0][0], [p for _, p, _ in level1], [a for _, _, a in level1])]
+    assert max(len(parents) for _, parents, _ in stacks) > 1
+    solve = region_from_scratch if variant == "baseline" else region_iterative
+    reasons = []
+    for cp, parents, added in stacks:
+        together, offset = solve(cp, parents, added), 0
+        for parent, fresh in zip(parents, added):
+            alone = solve(cp, [parent], [fresh])
+            assert together.reasons[offset : offset + len(fresh)] == alone.reasons
+            lo, hi = np.searchsorted(together.kept, [offset, offset + len(fresh)])
+            assert (together.kept[lo:hi] - offset).tolist() == alone.kept.tolist()
+            for got, want in [(together.u[lo:hi], alone.u), (together.S[lo:hi], alone.S),
+                              (together.L[lo:hi], alone.L), (together.l[lo:hi], alone.l)]:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+            for position in alone.kept:
+                assert together.result(offset + position).active == alone.result(position).active
+            offset += len(fresh)
+        reasons += together.reasons
+    assert "singular" in reasons and None in reasons
+
+
 def scratch_reference(cp, active):
     """Reference from-scratch solve of one candidate, independent of the
     stacked SVD: pivoted-QR null basis, dense inverse, laws and region rows
@@ -152,7 +218,7 @@ def scratch_reference(cp, active):
         Kinv = np.linalg.inv(np.vstack([Z.T @ cp.GQG, cp.F_D, Y_A]))
     except np.linalg.LinAlgError:
         raise RegionRejected("singular") from None
-    stack = _finish(cp, active, np.array([-1]), [None], np.array([0]), Z[None], Kinv[None], active.inactive()[None])
+    stack = _finish(cp, np.array([active.indices], dtype=int), [None], np.array([0]), Z[None], Kinv[None])
     grad = cp.G_D.T @ (cp.Qtilde @ stack.u[0])
     grad[:, 1:] += cp.GHt
     S = -np.linalg.pinv(T) @ grad
@@ -189,9 +255,9 @@ def test_scratch_stack_matches_reference(case, paper_doc):
     reasons = []
     mixed = 0
     for nd in explore(cp, variant="baseline").nodes:
-        assert _check_against_reference(cp, region_from_scratch(cp, nd.active, [-1]), 0, nd.active) is None
+        assert _check_against_reference(cp, region_from_scratch(cp, [nd.active], [[-1]]), 0, nd.active) is None
         children = candidate_indices(nd.active)
-        stack = region_from_scratch(cp, nd.active, children)
+        stack = region_from_scratch(cp, [nd.active], [children])
         found = [_check_against_reference(cp, stack, p, nd.active.with_index(i)) for p, i in enumerate(children)]
         assert stack.kept.tolist() == [p for p, reason in enumerate(found) if reason is None]
         reasons += found
@@ -206,7 +272,7 @@ def test_scratch_past_full_cardinality_is_singular(dint_cp):
     cp = dint_cp
     base = ActiveSet(cp.Dbar, tuple(range(cp.Dbar - cp.nbar_c)))
     added = list(range(cp.Dbar - cp.nbar_c, cp.Dbar))
-    stack = region_from_scratch(cp, base, added)
+    stack = region_from_scratch(cp, [base], [added])
     assert stack.reasons == ["singular"] * len(added)
     assert stack.kept.size == 0
     assert stack.L.shape == (0, 2 * cp.Dbar, cp.n)
@@ -225,7 +291,7 @@ def test_iterative_past_full_cardinality_is_singular(dint_cp, dint_tree):
     for res in full:
         assert res.Z.shape == (cp.Dbar, 0)
         candidates = candidate_indices(res.active)
-        stack = region_iterative(cp, res, candidates)
+        stack = region_iterative(cp, [res], [candidates])
         assert stack.reasons == ["singular"] * len(candidates)
         assert stack.kept.size == 0
         assert stack.L.shape == (0, 2 * cp.Dbar, cp.n)
@@ -239,11 +305,11 @@ def test_iterative_retry_after_singular_update(dint_cp, dint_tree):
     # the children kept must be those solved without the rejected ones
     cp, root = dint_cp, node_results(dint_cp, dint_tree)[0].result()
     candidates = candidate_indices(root.active)
-    loose = region_iterative(cp, root, candidates)
-    stack = region_iterative(cp, root, candidates, eps=0.3)
+    loose = region_iterative(cp, [root], [candidates])
+    stack = region_iterative(cp, [root], [candidates], eps=0.3)
     assert 0 < stack.kept.size < loose.kept.size
     assert set(stack.kept) < set(loose.kept)
-    again = region_iterative(cp, root, [candidates[p] for p in stack.kept], eps=0.3)
+    again = region_iterative(cp, [root], [[candidates[p] for p in stack.kept]], eps=0.3)
     assert again.reasons == [None] * stack.kept.size
     for got, want in [(stack.u, again.u), (stack.S, again.S), (stack.L, again.L), (stack.l, again.l)]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1.0 + np.abs(want).max()))
@@ -301,30 +367,30 @@ def test_invert_masks_singular_items(rng):
 
 def test_iterative_rejects_already_active(dint_cp):
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+    root = region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     child = None
     for i in range(2 * cp.Dbar):
         try:
-            child = region_iterative(cp, root, [i]).result(0)
+            child = region_iterative(cp, [root], [[i]]).result(0)
             break
         except RegionRejected:
             continue
     assert child is not None
     with pytest.raises(ValueError):
-        region_iterative(cp, child, [child.active.indices[0]]).result(0)
+        region_iterative(cp, [child], [[child.active.indices[0]]]).result(0)
 
 
 def test_parameter_pinned_facets_are_singular(dint_cp):
     """Facets of stage-0 state coordinates lie in the span of the equalities."""
     cp = dint_cp
-    root = region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+    root = region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     # lifted layout: N*gU input coords, then N*gX state coords (stage 0 first)
     first_state_coord = cp.N * cp.m
     with pytest.raises(RegionRejected) as exc:
-        region_iterative(cp, root, [first_state_coord]).result(0)
+        region_iterative(cp, [root], [[first_state_coord]]).result(0)
     assert exc.value.reason == "singular"
     with pytest.raises(RegionRejected):
-        region_from_scratch(cp, ActiveSet(cp.Dbar, (first_state_coord,)), [-1]).result(0)
+        region_from_scratch(cp, [ActiveSet(cp.Dbar, (first_state_coord,))], [[-1]]).result(0)
 
 
 def test_too_deep_active_set_rejected(dint_cp):
@@ -332,7 +398,7 @@ def test_too_deep_active_set_rejected(dint_cp):
     free = cp.Dbar - cp.nbar_c
     idx = tuple(range(free + 1))
     with pytest.raises(RegionRejected):
-        region_from_scratch(cp, ActiveSet(cp.Dbar, idx), [-1]).result(0)
+        region_from_scratch(cp, [ActiveSet(cp.Dbar, idx)], [[-1]]).result(0)
 
 
 def test_second_order_rejection_redundant_generators():
@@ -345,7 +411,7 @@ def test_second_order_rejection_redundant_generators():
     )
     cp = build_condensed_qp(p)
     with pytest.raises(RegionRejected) as exc:
-        region_from_scratch(cp, ActiveSet(cp.Dbar), [-1]).result(0)
+        region_from_scratch(cp, [ActiveSet(cp.Dbar)], [[-1]]).result(0)
     assert exc.value.reason == "second_order"
 
 
@@ -374,7 +440,7 @@ def test_kkt_residuals_interior(dint_tree, dint_cp, rng):
 
 
 def test_reduced_active_set_root_empty(dint_problem, dint_cp):
-    root = region_from_scratch(dint_cp, ActiveSet(dint_cp.Dbar), [-1]).result(0)
+    root = region_from_scratch(dint_cp, [ActiveSet(dint_cp.Dbar)], [[-1]]).result(0)
     assert reduced_active_set(*polyhedral_rows(dint_problem), root.law) == ()
 
 
